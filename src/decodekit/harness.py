@@ -3,7 +3,8 @@
 The whole run is described by one JSON document. Every leaf key is
 addressable by dotted path (``lts.tau_mass``, ``model.synthetic.seed``),
 which is what the sweep command manipulates. Unset keys fall back to the
-defaults below; validation failures name the offending field path.
+defaults below, every set key is checked against the type of its default,
+and validation failures name the offending field path.
 
 Determinism contract: sequence ``i`` of a run uses seed ``seed + i``, and
 sweep replication ``r`` shifts the base seed by ``r * num_sequences`` so
@@ -16,10 +17,10 @@ from __future__ import annotations
 
 import copy
 import json
-import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -58,6 +59,9 @@ METRIC_NAMES = ("ppl", "rep16", "rep32", "rep128", "zipf", "diversity", "diversi
 # base_temperature default per synthetic profile kind.
 KIND_TEMPERATURES = {"peaked": 0.3, "flat": 10.0, "mixed": 1.0, "loop_prone": 1.0}
 
+# The config schema. A leaf's type is the type of its default. The
+# model.synthetic, lts and asts defaults come from LmProfile (less its kind,
+# which the selector names), LtsConfig and AstsConfig.
 DEFAULTS: dict = {
     "seed": 0,
     "max_tokens": 64,
@@ -67,10 +71,8 @@ DEFAULTS: dict = {
     "model": {
         "selector": "synthetic:mixed",
         "synthetic": {
-            "base_temperature": None,  # None = per-kind default
-            "loop_gamma": 1.0,
-            "recency_window": 4,
-            "seed": 0,
+            **{k: v for k, v in asdict(LmProfile()).items() if k != "kind"},
+            "base_temperature": None,
             "vocab_size": 256,
         },
     },
@@ -79,25 +81,8 @@ DEFAULTS: dict = {
     "topk": {"k": 10},
     "nucleus": {"p": 0.9},
     "mirostat": {"tau": 3.0, "eta": 0.1, "mu0": None},
-    "lts": {"mode": "mass", "epsilon": 0.5, "tau_mass": 0.95},
-    "asts": {
-        "k1": 0.3,
-        "k2": 0.3,
-        "lambda1": 0.4,
-        "lambda2": 0.4,
-        "lambda3": 0.2,
-        "mu1": 0.5,
-        "mu2": 0.3,
-        "mu3": 0.2,
-        "temperature": 1.0,
-        "window_w": 8,
-        "eps_div": 1.0,
-        "sigma_prior": 0.6,
-        "adjust_form": "example",
-        "alignment": "embedding",
-        "relevance": "zero",
-        "keywords": [],
-    },
+    "lts": asdict(LtsConfig()),
+    "asts": {**asdict(AstsConfig()), "alignment": "embedding", "relevance": "zero", "keywords": []},
     "embed": {
         "table": "synthetic",
         "dim": 16,
@@ -109,20 +94,39 @@ DEFAULTS: dict = {
     "zipf": {"min_rank": 1, "max_rank": None},
 }
 
+# Type of each leaf whose default is null; null stays allowed there only.
+NULLABLE = {
+    "model.synthetic.base_temperature": float,  # null = KIND_TEMPERATURES[kind]
+    "prompt.tokens": list,
+    "prompt.file": str,
+    "output.corpus": str,
+    "mirostat.mu0": float,  # null = 2 * mirostat.tau
+    "zipf.max_rank": int,
+}
 
-def _merge_defaults(defaults: dict, overrides: dict, path: str = "") -> dict:
-    out = copy.deepcopy(defaults)
-    for key, value in overrides.items():
-        here = f"{path}.{key}" if path else key
-        if key not in defaults:
-            # Reject typos outright; a silently ignored "tau_mas" would make
-            # a sweep look like the parameter has no effect.
-            raise ConfigError(f"{here}: unknown config key")
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge_defaults(out[key], value, here)
-        else:
-            out[key] = copy.deepcopy(value)
-    return out
+_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string", list: "a list of strings"}
+
+# Bounds and choices that no runtime constructor checks.
+_MINIMUMS = {
+    "seed": 0,
+    "max_tokens": 1,
+    "num_sequences": 1,
+    "workers": 1,
+    "model.synthetic.vocab_size": 1,
+    "topk.k": 1,
+    "mirostat.eta": 0,
+    "embed.dim": 1,
+    "embed.context_window": 0,
+    "zipf.min_rank": 1,
+}
+_CHOICES = {
+    "sampler": SAMPLER_NAMES,
+    "asts.alignment": ("embedding", "zero"),
+    "asts.relevance": ("zero", "keywords"),
+    "embed.pooling": ("mean", "decay"),
+}
+
+_ASTS_FIELDS = tuple(f.name for f in fields(AstsConfig))
 
 
 def get_by_path(cfg: dict, path: str):
@@ -147,7 +151,7 @@ def set_by_path(cfg: dict, path: str, value) -> None:
 
 
 def load_config(path) -> dict:
-    """Parse, merge with defaults, apply DECODE_SEED, and validate."""
+    """Parse, apply DECODE_SEED, merge with defaults, and validate."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -157,15 +161,56 @@ def load_config(path) -> dict:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top-level config must be a JSON object")
-    cfg = _merge_defaults(DEFAULTS, raw)
     env_seed = os.environ.get("DECODE_SEED")
     if env_seed is not None:
         try:
-            cfg["seed"] = int(env_seed)
+            raw["seed"] = int(env_seed)
         except ValueError:
             raise ConfigError(f"DECODE_SEED must be an integer, got {env_seed!r}") from None
-    validate_config(cfg)
+    return _checked(raw)
+
+
+def _checked(raw: dict) -> dict:
+    """The full config for ``raw``: defaults filled in, every field checked."""
+    cfg = _merge(DEFAULTS, raw, "")
+    _check_values(cfg)
     return cfg
+
+
+def _merge(defaults: dict, given: dict, prefix: str) -> dict:
+    for key in given:
+        if key not in defaults:
+            # Reject typos outright; a silently ignored "tau_mas" would make
+            # a sweep look like the parameter has no effect.
+            raise ConfigError(f"{prefix}{key}: unknown config key")
+    out = {}
+    for key, default in defaults.items():
+        path = prefix + key
+        if isinstance(default, dict):
+            section = given.get(key, {})
+            _expect(isinstance(section, dict), path, f"must be an object, got {section!r}")
+            out[key] = _merge(default, section, path + ".")
+        elif key in given:
+            out[key] = _check_leaf(path, given[key], default)
+        else:
+            out[key] = list(default) if isinstance(default, list) else default
+    return out
+
+
+def _check_leaf(path: str, value, default):
+    kind = NULLABLE[path] if default is None else type(default)
+    if value is None:
+        ok = default is None
+    elif kind is float:
+        # abs() <= max is false for NaN, inf and ints too large for a float.
+        ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
+    elif kind is list:
+        ok = type(value) is list and all(type(v) is str for v in value)
+    else:
+        ok = type(value) is kind  # an int leaf rejects bool
+    nullable = " or null" if default is None else ""
+    _expect(ok, path, f"must be {_TYPE_NAMES[kind]}{nullable}, got {value!r}")
+    return value
 
 
 def _expect(cond: bool, path: str, msg: str) -> None:
@@ -173,105 +218,52 @@ def _expect(cond: bool, path: str, msg: str) -> None:
         raise ConfigError(f"{path}: {msg}")
 
 
-def _expect_int(cfg: dict, path: str, minimum: int) -> int:
-    v = get_by_path(cfg, path)
-    _expect(isinstance(v, int) and not isinstance(v, bool), path, f"must be an integer, got {v!r}")
-    _expect(v >= minimum, path, f"must be >= {minimum}, got {v}")
-    return v
+def _check_values(cfg: dict) -> None:
+    """Range and cross-field checks, then the runtime constructors' own."""
+    for path, minimum in _MINIMUMS.items():
+        v = get_by_path(cfg, path)
+        _expect(v >= minimum, path, f"must be >= {minimum}, got {v}")
+    for path, choices in _CHOICES.items():
+        v = get_by_path(cfg, path)
+        _expect(v in choices, path, f"must be one of {choices}, got {v!r}")
+    for path in ("nucleus.p", "embed.decay"):
+        v = get_by_path(cfg, path)
+        _expect(0 < v <= 1, path, f"must lie in (0, 1], got {v!r}")
 
-
-def validate_config(cfg: dict, require_output: bool = False) -> None:
-    _expect(isinstance(cfg.get("seed"), int), "seed", f"must be an integer, got {cfg.get('seed')!r}")
-    _expect_int(cfg, "max_tokens", 1)
-    _expect_int(cfg, "num_sequences", 1)
-    _expect_int(cfg, "workers", 1)
-    sampler = cfg.get("sampler")
-    _expect(sampler in SAMPLER_NAMES, "sampler", f"must be one of {SAMPLER_NAMES}, got {sampler!r}")
-
-    selector = get_by_path(cfg, "model.selector")
-    _expect(isinstance(selector, str), "model.selector", "must be a string")
-    if selector.startswith("synthetic:"):
-        kind = selector.split(":", 1)[1]
-        _expect(kind in KINDS, "model.selector", f"unknown synthetic kind {kind!r}, expected one of {KINDS}")
-        _expect_int(cfg, "model.synthetic.vocab_size", 1)
-        _expect_int(cfg, "model.synthetic.recency_window", 1)
+    selector = cfg["model"]["selector"]
+    scheme, _, target = selector.partition(":")
+    if scheme == "synthetic":
+        _expect(target in KINDS, "model.selector", f"unknown synthetic kind {target!r}, expected one of {KINDS}")
         try:
             _build_profile(cfg)
         except ValueError as exc:
             raise ConfigError(f"model.synthetic: {exc}") from None
-    elif selector.startswith("file:"):
-        path = selector.split(":", 1)[1]
-        _expect(bool(path), "model.selector", "file: selector needs a path")
-        _expect(os.path.isfile(path), "model.selector", f"distribution file not found: {path}")
+    elif scheme == "file":
+        _expect(os.path.isfile(target), "model.selector", f"distribution file not found: {target!r}")
     else:
         raise ConfigError(f"model.selector: expected 'synthetic:<kind>' or 'file:<path>', got {selector!r}")
 
-    prompt = cfg.get("prompt") or {}
-    _expect(isinstance(prompt, dict), "prompt", "must be an object")
-    if prompt.get("tokens") is not None and prompt.get("file") is not None:
-        raise ConfigError("prompt: give either 'tokens' or 'file', not both")
-    if prompt.get("tokens") is not None:
-        _expect(
-            isinstance(prompt["tokens"], list) and all(isinstance(t, str) for t in prompt["tokens"]),
-            "prompt.tokens",
-            "must be a list of token strings",
-        )
-    if prompt.get("file") is not None:
+    prompt = cfg["prompt"]
+    _expect(prompt["tokens"] is None or prompt["file"] is None, "prompt", "give either 'tokens' or 'file', not both")
+    if prompt["file"] is not None:
         _expect(os.path.isfile(prompt["file"]), "prompt.file", f"file not found: {prompt['file']}")
 
-    if require_output:
-        out = cfg.get("output", {}).get("corpus")
-        _expect(isinstance(out, str) and bool(out), "output.corpus", "output path required for generate")
+    asts, table = cfg["asts"], cfg["embed"]["table"]
+    if asts["relevance"] == "keywords":
+        _expect(bool(asts["keywords"]), "asts.keywords", "must be nonempty when asts.relevance = 'keywords'")
+    if cfg["sampler"] == "asts" and asts["alignment"] == "embedding" and table != "synthetic":
+        _expect(os.path.isfile(table), "embed.table", f"embedding table not found: {table}")
+    zipf = cfg["zipf"]
+    if zipf["max_rank"] is not None:
+        _expect(zipf["max_rank"] >= zipf["min_rank"], "zipf.max_rank", "must be null or an integer >= zipf.min_rank")
 
-    # Sampler-specific sections: constructing the config dataclasses runs
-    # their own validation; their messages already carry the field path.
+    # Constructing the config dataclasses runs their own validation; their
+    # messages already carry the field path.
     try:
-        _build_lts_config(cfg)
-        _build_asts_config(cfg)
+        LtsConfig(**cfg["lts"])
+        _asts_config(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    _expect_int(cfg, "topk.k", 1)
-    p = get_by_path(cfg, "nucleus.p")
-    _expect(isinstance(p, (int, float)) and 0 < p <= 1, "nucleus.p", f"must lie in (0, 1], got {p!r}")
-    for key in ("mirostat.tau", "mirostat.eta"):
-        v = get_by_path(cfg, key)
-        _expect(isinstance(v, (int, float)) and math.isfinite(v), key, f"must be a finite number, got {v!r}")
-    _expect(get_by_path(cfg, "mirostat.eta") >= 0, "mirostat.eta", "must be >= 0")
-    mu0 = get_by_path(cfg, "mirostat.mu0")
-    _expect(
-        mu0 is None or (isinstance(mu0, (int, float)) and math.isfinite(mu0)),
-        "mirostat.mu0",
-        f"must be null or a finite number, got {mu0!r}",
-    )
-
-    alignment = get_by_path(cfg, "asts.alignment")
-    _expect(alignment in ("embedding", "zero"), "asts.alignment", f"must be 'embedding' or 'zero', got {alignment!r}")
-    relevance = get_by_path(cfg, "asts.relevance")
-    _expect(relevance in ("zero", "keywords"), "asts.relevance", f"must be 'zero' or 'keywords', got {relevance!r}")
-    if relevance == "keywords":
-        kws = get_by_path(cfg, "asts.keywords")
-        _expect(
-            isinstance(kws, list) and kws and all(isinstance(k, str) for k in kws),
-            "asts.keywords",
-            "must be a nonempty list of strings when asts.relevance = 'keywords'",
-        )
-    pooling = get_by_path(cfg, "embed.pooling")
-    _expect(pooling in ("mean", "decay"), "embed.pooling", f"must be 'mean' or 'decay', got {pooling!r}")
-    _expect_int(cfg, "embed.dim", 1)
-    cw = get_by_path(cfg, "embed.context_window")
-    _expect(isinstance(cw, int) and cw >= 0, "embed.context_window", f"must be an integer >= 0, got {cw!r}")
-    table = get_by_path(cfg, "embed.table")
-    _expect(isinstance(table, str) and bool(table), "embed.table", "must be 'synthetic' or a file path")
-    if sampler == "asts" and alignment == "embedding" and table != "synthetic":
-        _expect(os.path.isfile(table), "embed.table", f"embedding table not found: {table}")
-
-    _expect_int(cfg, "zipf.min_rank", 1)
-    mr = get_by_path(cfg, "zipf.max_rank")
-    _expect(
-        mr is None or (isinstance(mr, int) and mr >= get_by_path(cfg, "zipf.min_rank")),
-        "zipf.max_rank",
-        "must be null or an integer >= zipf.min_rank",
-    )
 
 
 # --------------------------------------------------------------------------
@@ -279,42 +271,16 @@ def validate_config(cfg: dict, require_output: bool = False) -> None:
 
 
 def _build_profile(cfg: dict) -> LmProfile:
-    kind = get_by_path(cfg, "model.selector").split(":", 1)[1]
-    syn = cfg["model"]["synthetic"]
-    temperature = syn.get("base_temperature")
-    if temperature is None:
-        temperature = KIND_TEMPERATURES[kind]
-    return LmProfile(
-        kind=kind,
-        base_temperature=temperature,
-        loop_gamma=syn.get("loop_gamma", 1.0),
-        recency_window=syn.get("recency_window", 4),
-        seed=syn.get("seed", 0),
-    )
+    kind = cfg["model"]["selector"].split(":", 1)[1]
+    syn = dict(cfg["model"]["synthetic"])
+    del syn["vocab_size"]
+    if syn["base_temperature"] is None:
+        syn["base_temperature"] = KIND_TEMPERATURES[kind]
+    return LmProfile(kind=kind, **syn)
 
 
-def _build_lts_config(cfg: dict) -> LtsConfig:
-    s = cfg["lts"]
-    return LtsConfig(mode=s["mode"], epsilon=s["epsilon"], tau_mass=s["tau_mass"])
-
-
-def _build_asts_config(cfg: dict) -> AstsConfig:
-    s = cfg["asts"]
-    return AstsConfig(
-        k1=s["k1"],
-        k2=s["k2"],
-        lambda1=s["lambda1"],
-        lambda2=s["lambda2"],
-        lambda3=s["lambda3"],
-        mu1=s["mu1"],
-        mu2=s["mu2"],
-        mu3=s["mu3"],
-        temperature=s["temperature"],
-        window_w=s["window_w"],
-        eps_div=s["eps_div"],
-        sigma_prior=s["sigma_prior"],
-        adjust_form=s["adjust_form"],
-    )
+def _asts_config(cfg: dict) -> AstsConfig:
+    return AstsConfig(**{name: cfg["asts"][name] for name in _ASTS_FIELDS})
 
 
 class SyntheticModel:
@@ -388,11 +354,7 @@ def _build_alignment(cfg: dict, vocab: Vocabulary):
                 f"(first missing: {missing[0]!r})"
             )
     return EmbeddingAlignment(
-        table=table,
-        vocab=vocab,
-        pooling=e["pooling"],
-        decay=e["decay"],
-        context_window=e["context_window"],
+        table=table, vocab=vocab, pooling=e["pooling"], decay=e["decay"], context_window=e["context_window"]
     )
 
 
@@ -415,10 +377,10 @@ def build_sampler(cfg: dict, vocab: Vocabulary):
         m = cfg["mirostat"]
         return MirostatSampler.fresh(target_tau=m["tau"], eta=m["eta"], mu0=m["mu0"])
     if name == "lts":
-        return LtsSampler(cfg=_build_lts_config(cfg))
+        return LtsSampler(cfg=LtsConfig(**cfg["lts"]))
     if name == "asts":
         return AstsSampler(
-            cfg=_build_asts_config(cfg),
+            cfg=_asts_config(cfg),
             alignment=_build_alignment(cfg, vocab),
             relevance=_build_relevance(cfg, vocab),
         )
@@ -427,26 +389,13 @@ def build_sampler(cfg: dict, vocab: Vocabulary):
 
 def _resolve_prompts(cfg: dict, vocab: Vocabulary) -> list[tuple[int, ...]]:
     """Prompt id tuples; sequence i uses entry i modulo the list length."""
-    prompt = cfg.get("prompt") or {}
-    if prompt.get("tokens") is not None:
+    prompt = cfg["prompt"]
+    if prompt["tokens"] is not None:
         return [_tokens_to_ids(prompt["tokens"], vocab, "prompt.tokens")]
-    if prompt.get("file") is not None:
+    if prompt["file"] is not None:
         path = prompt["file"]
-        out = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"{path}: line {lineno}: not valid JSON: {exc}") from None
-                if not isinstance(obj, dict) or not isinstance(obj.get("tokens"), list):
-                    raise DataError(f"{path}: line {lineno}: expected an object with a 'tokens' list")
-                out.append(_tokens_to_ids(obj["tokens"], vocab, f"{path}: line {lineno}"))
-        if not out:
-            raise DataError(f"{path}: prompt file contains no prompts")
-        return out
+        seqs = _load_corpus_tokens(path, "jsonl")
+        return [_tokens_to_ids(seq, vocab, f"{path}: prompt {i + 1}") for i, seq in enumerate(seqs)]
     return [()]
 
 
@@ -465,14 +414,13 @@ def run_sequence(cfg: dict, index: int) -> dict:
     vocab = model.vocab
     sampler = build_sampler(cfg, vocab)
     prompts = _resolve_prompts(cfg, vocab)
-    window_w = get_by_path(cfg, "asts.window_w")
     tokens, trace = simlm.drive(
         lambda ctx, step: model.next(ctx, step),
         sampler,
         seed=cfg["seed"] + index,
         max_tokens=cfg["max_tokens"],
         prompt=prompts[index % len(prompts)],
-        window_w=window_w,
+        window_w=cfg["asts"]["window_w"],
     )
     audit = []
     if isinstance(sampler, AstsSampler):
@@ -497,7 +445,7 @@ def _sequence_job(args) -> dict:
 def run_generation(cfg: dict) -> list[dict]:
     """All sequences of a run, in id order; parallel when workers > 1."""
     indices = range(cfg["num_sequences"])
-    if cfg.get("workers", 1) > 1:
+    if cfg["workers"] > 1:
         with ProcessPoolExecutor(max_workers=cfg["workers"]) as pool:
             return list(pool.map(_sequence_job, [(cfg, i) for i in indices]))
     return [run_sequence(cfg, i) for i in indices]
@@ -516,15 +464,11 @@ def _open_out(path):
 
 def cmd_generate(config_path, audit_path=None) -> list[dict]:
     cfg = load_config(config_path)
-    validate_config(cfg, require_output=True)
-    # Fail before generation if the sampler cannot even be built (e.g. a
-    # missing or broken embedding table).
-    model = build_model(cfg)
-    build_sampler(cfg, model.vocab)
-    _resolve_prompts(cfg, model.vocab)
-
-    records = run_generation(cfg)
     out_path = cfg["output"]["corpus"]
+    _expect(bool(out_path), "output.corpus", "output path required for generate")
+    # Input errors (a broken embedding table, an unknown prompt token) raise
+    # from run_sequence, before any output file is opened.
+    records = run_generation(cfg)
     with _open_out(out_path) as fh:
         for rec in records:
             fh.write(
@@ -556,11 +500,7 @@ def _metric_value(cfg: dict, metric: str, records: list[dict], model) -> float:
             vals = [metrics.ngram_diversity(s) for s in corpus.sequences]
             return 4.0 * sum(vals) / len(vals)
         if metric == "zipf":
-            return metrics.zipf_coefficient(
-                corpus,
-                min_rank=get_by_path(cfg, "zipf.min_rank"),
-                max_rank=get_by_path(cfg, "zipf.max_rank"),
-            )
+            return metrics.zipf_coefficient(corpus, **cfg["zipf"])
         if metric == "ppl":
             return metrics.perplexity(corpus, _model_scorer(model))
     except ValueError as exc:
@@ -606,20 +546,17 @@ def cmd_sweep(config_path, param: str, values, metric: str, reps: int, out_path)
         raise ConfigError(f"metric: unknown metric {metric!r}, expected one of {METRIC_NAMES}")
     if reps < 1:
         raise ConfigError(f"reps: must be >= 1, got {reps}")
-    for path in paths:
-        get_by_path(base, path)  # fail fast on typos
 
     rows: list[SweepRow] = []
     for value in values:
         cfg = copy.deepcopy(base)
         for path in paths:
             set_by_path(cfg, path, value)
-        validate_config(cfg)
+        cfg = _checked(cfg)
         model = build_model(cfg)
         samples = []
         for r in range(reps):
-            run_cfg = copy.deepcopy(cfg)
-            run_cfg["seed"] = cfg["seed"] + r * cfg["num_sequences"]
+            run_cfg = dict(cfg, seed=cfg["seed"] + r * cfg["num_sequences"])
             records = run_generation(run_cfg)
             samples.append(_metric_value(cfg, metric, records, model))
         arr = np.asarray(samples, dtype=np.float64)
@@ -637,6 +574,7 @@ def _csv_cell(v) -> str:
 
 
 def _load_corpus_tokens(path, fmt: str) -> list[list[str]]:
+    """Token sequences of a corpus or prompt file, one per nonblank line."""
     sequences: list[list[str]] = []
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -660,7 +598,7 @@ def _load_corpus_tokens(path, fmt: str) -> list[list[str]]:
                 raise DataError(f"{path}: line {lineno}: tokens must all be strings")
             sequences.append(list(toks))
     if not sequences:
-        raise DataError(f"{path}: corpus contains no sequences")
+        raise DataError(f"{path}: file contains no token sequences")
     return sequences
 
 
@@ -684,14 +622,13 @@ def cmd_metrics(
     gen_tokens = _load_corpus_tokens(generated_path, fmt)
     ref_tokens = _load_corpus_tokens(reference_path, fmt) if reference_path else None
 
-    zipf_min, zipf_max = 1, None
+    zipf = DEFAULTS["zipf"]
     if config_path is not None:
         cfg = load_config(config_path)
         model = build_model(cfg)
         vocab = model.vocab
         scorer = _model_scorer(model)
-        zipf_min = get_by_path(cfg, "zipf.min_rank")
-        zipf_max = get_by_path(cfg, "zipf.max_rank")
+        zipf = cfg["zipf"]
     else:
         seen = sorted({t for seq in gen_tokens for t in seq} | {t for seq in (ref_tokens or []) for t in seq})
         vocab = Vocabulary.from_tokens(seen)
@@ -704,7 +641,9 @@ def cmd_metrics(
     generated = to_corpus(gen_tokens, str(generated_path))
     reference = to_corpus(ref_tokens, str(reference_path)) if ref_tokens is not None else None
     try:
-        rep = metrics.report(generated, scorer, reference, zipf_min_rank=zipf_min, zipf_max_rank=zipf_max)
+        rep = metrics.report(
+            generated, scorer, reference, zipf_min_rank=zipf["min_rank"], zipf_max_rank=zipf["max_rank"]
+        )
     except ValueError as exc:
         raise MetricError(str(exc)) from None
     if out_path is not None:

@@ -58,6 +58,41 @@ class TestGenerateCommand:
         assert main(["generate", "--config", cfg]) == 3
         assert "input error" in capsys.readouterr().err
 
+    def test_non_string_prompt_token_exit_three(self, tmp_path, capsys):
+        prompts = tmp_path / "p.jsonl"
+        prompts.write_text('{"tokens": [["tok001"]]}\n', encoding="utf-8")
+        cfg = write_json(
+            tmp_path / "run.json",
+            {
+                "sampler": "greedy",
+                "prompt": {"file": str(prompts)},
+                "model": {"selector": "synthetic:mixed", "synthetic": {"vocab_size": 16}},
+                "output": {"corpus": str(tmp_path / "out.jsonl")},
+            },
+        )
+        assert main(["generate", "--config", cfg]) == 3
+        assert "tokens must all be strings" in capsys.readouterr().err
+        assert not (tmp_path / "out.jsonl").exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_malformed_embedding_table_exit_three(self, tmp_path, capsys, workers):
+        table = tmp_path / "embeddings.txt"
+        table.write_text("2 three\ntok000 0.1 0.2 0.3\n", encoding="utf-8")
+        cfg = write_json(
+            tmp_path / "run.json",
+            {
+                "sampler": "asts",
+                "num_sequences": 2,
+                "workers": workers,
+                "embed": {"table": str(table), "dim": 3},
+                "model": {"selector": "synthetic:mixed", "synthetic": {"vocab_size": 16}},
+                "output": {"corpus": str(tmp_path / "out.jsonl")},
+            },
+        )
+        assert main(["generate", "--config", cfg]) == 3
+        assert "header fields must be integers" in capsys.readouterr().err
+        assert not (tmp_path / "out.jsonl").exists()
+
 
 class TestMetricsCommand:
     def test_generate_then_metrics(self, tmp_path, run_config):

@@ -115,6 +115,19 @@ class TestValidation:
             ({"zipf": {"min_rank": 5, "max_rank": 2}}, "zipf.max_rank"),
             ({"prompt": {"tokens": ["a"], "file": "x"}}, "prompt"),
             ({"mirostat": {"eta": -0.5}}, "mirostat.eta"),
+            ({"max_tokens": 4.0}, "max_tokens: must be an integer"),
+            ({"topk": {"k": False}}, "topk.k: must be an integer"),
+            ({"asts": {"k1": float("inf")}}, "asts.k1: must be a finite number"),
+            ({"asts": {"k1": 10**400}}, "asts.k1: must be a finite number"),
+            ({"mirostat": {"tau": None}}, "mirostat.tau: must be a finite number"),
+            ({"asts": {"keywords": "tok01"}}, "asts.keywords: must be a list of strings"),
+            ({"asts": {"keywords": [1]}}, "asts.keywords: must be a list of strings"),
+            ({"prompt": {"tokens": [["tok001"]]}}, "prompt.tokens: must be a list of strings or null"),
+            ({"model": {"selector": None}}, "model.selector: must be a string"),
+            ({"zipf": {"max_rank": 4.5}}, "zipf.max_rank: must be an integer or null"),
+            ({"lts": None}, "lts: must be an object"),
+            ({"model": []}, "model: must be an object"),
+            ({"asts": "keywords"}, "asts: must be an object"),
         ],
     )
     def test_bad_fields_name_their_path(self, tmp_path, overrides, needle):
