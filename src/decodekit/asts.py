@@ -10,13 +10,23 @@ the candidate probabilities via exp(), (4) the weights are renormalised,
 Semantic alignment and relevance come from pluggable providers: callables
 ``provider(ctx, candidate_ids) -> sequence of floats``. Built-ins cover the
 embedding-cosine alignment, a constant-zero ablation and keyword overlap.
+
+A step works on whole candidate arrays, and each array operation is chosen
+to give bit for bit the float that the scalar formula below it gives, so
+vectorising moves no output digest. Dot products and norms use
+``np.vecdot``, which matches ``np.dot``/``np.linalg.norm`` row by row; a
+matrix product (``M @ v``), ``einsum`` or ``(M * v).sum(1)`` rounds
+differently and must not replace it. Logarithms of single probabilities
+use ``math.log``, because ``np.log`` differs from it in the last bit on a
+few inputs.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -27,11 +37,10 @@ from decodekit.core import (
     entropy,
     normalize,
     sample,
-    surprisal,
     temperature_scale,
 )
-from decodekit.embed import EmbeddingTable, context_embedding, cosine
-from decodekit.lts import typical_set_band
+from decodekit.embed import EmbeddingTable, pool_rows
+from decodekit.lts import band_ids
 
 ADJUST_FORMS = ("example", "eq13")
 
@@ -141,36 +150,56 @@ class CandidateScore:
         }
 
 
-@dataclass(frozen=True)
+# The per-candidate score fields of CandidateScore, in record order.
+SCORE_COLUMNS = tuple(f.name for f in fields(CandidateScore))[2:]
+
+
+@dataclass(frozen=True, eq=False)
 class ScoreBreakdown:
-    """Full audit trail of one ASTS step."""
+    """Full audit trail of one ASTS step.
+
+    Scores are kept as columns: ``columns[name]`` is a float array aligned
+    with ``token_ids`` for each name in ``SCORE_COLUMNS``. The
+    ``CandidateScore`` records are built only when ``candidates`` is read.
+    """
 
     entropy: float
     sigma: float
     alpha: float
     beta: float
-    candidates: tuple[CandidateScore, ...]
+    vocab: Vocabulary
+    token_ids: list[int]
+    columns: dict[str, np.ndarray]
     chosen_id: int
 
     def __post_init__(self) -> None:
-        total = sum(c.final_probability for c in self.candidates)
+        total = sum(self.columns["final_probability"].tolist())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"candidate probabilities sum to {total!r}, expected 1")
 
+    @cached_property
+    def candidates(self) -> tuple[CandidateScore, ...]:
+        tokens = self.vocab.tokens
+        cols = [self.columns[name].tolist() for name in SCORE_COLUMNS]
+        return tuple(CandidateScore(tid, tokens[tid], *row) for tid, *row in zip(self.token_ids, *cols))
+
     def final_probability_of(self, token_id: int) -> float:
-        for c in self.candidates:
-            if c.token_id == token_id:
-                return c.final_probability
+        if token_id in self.token_ids:
+            return float(self.columns["final_probability"][self.token_ids.index(token_id)])
         raise KeyError(f"token id {token_id} not among candidates")
 
     def to_json_dict(self) -> dict:
+        names = ("token_id", "token", *SCORE_COLUMNS)
+        tokens = self.vocab.tokens
+        cols = [self.token_ids, [tokens[t] for t in self.token_ids]]
+        cols += [self.columns[name].tolist() for name in SCORE_COLUMNS]
         return {
             "entropy": self.entropy,
             "sigma": self.sigma,
             "alpha": self.alpha,
             "beta": self.beta,
             "chosen_id": self.chosen_id,
-            "candidates": [c.to_json_dict() for c in self.candidates],
+            "candidates": [dict(zip(names, row)) for row in zip(*cols)],
         }
 
 
@@ -272,8 +301,11 @@ class MappedScores:
 class EmbeddingAlignment:
     """Cosine between each candidate's embedding and the pooled context.
 
-    With an empty history (or a degenerate zero-norm context vector) there
-    is nothing to align against, so every candidate scores a neutral 0.
+    At construction the table becomes a vocabulary-ordered ``(V, dim)``
+    matrix with its row norms, so a step pools matrix rows and takes one
+    ``np.vecdot`` over the candidates. With an empty history (or a
+    degenerate zero-norm context vector) there is nothing to align
+    against, so every candidate scores a neutral 0.
     """
 
     table: EmbeddingTable
@@ -281,28 +313,39 @@ class EmbeddingAlignment:
     pooling: str = "mean"
     decay: float = 0.8
     context_window: int = 0
+    _rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _norms: np.ndarray = field(init=False, repr=False, compare=False)
+    _present: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        vectors = self.table.vectors
+        absent = np.zeros(self.table.dim, dtype=np.float64)
+        rows = np.stack([vectors.get(t, absent) for t in self.vocab.tokens])
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_norms", np.sqrt(np.vecdot(rows, rows)))
+        object.__setattr__(self, "_present", np.array([t in vectors for t in self.vocab.tokens]))
 
     def __call__(self, ctx: GenerationContext, candidate_ids) -> np.ndarray:
         if not ctx.history:
             return np.zeros(len(candidate_ids), dtype=np.float64)
-        ctx_vec = context_embedding(
-            ctx.history,
-            self.table,
-            self.vocab,
-            pooling=self.pooling,
-            decay=self.decay,
-            context_window=self.context_window,
-        )
-        if float(np.linalg.norm(ctx_vec)) < 1e-12:
+        history = ctx.history[-self.context_window :] if self.context_window > 0 else ctx.history
+        absent = ~self._present[history]
+        if absent.any():
+            raise KeyError(f"token {self.vocab.tokens[history[int(np.argmax(absent))]]!r} has no embedding")
+        ctx_vec = pool_rows(self._rows[history], self.pooling, self.decay)
+        ctx_norm = float(np.linalg.norm(ctx_vec))
+        if ctx_norm < 1e-12:
             return np.zeros(len(candidate_ids), dtype=np.float64)
-        out = np.empty(len(candidate_ids), dtype=np.float64)
-        for j, tid in enumerate(candidate_ids):
+        ids = np.asarray(candidate_ids, dtype=np.intp)
+        norms = self._norms[ids]
+        bad = ~self._present[ids] | (norms == 0.0)
+        if bad.any():
+            tid = int(ids[int(np.argmax(bad))])
             token = self.vocab.tokens[tid]
-            vec = self.table.vector(token)  # raises naming the token if absent
-            if float(np.linalg.norm(vec)) == 0.0:
-                raise ProviderError(f"token {token!r} has a zero-norm embedding")
-            out[j] = cosine(vec, ctx_vec)
-        return out
+            if not self._present[tid]:
+                raise KeyError(f"token {token!r} has no embedding")
+            raise ProviderError(f"token {token!r} has a zero-norm embedding")
+        return np.vecdot(self._rows[ids], ctx_vec) / (norms * ctx_norm)
 
 
 @dataclass(frozen=True)
@@ -311,18 +354,17 @@ class KeywordRelevance:
 
     vocab: Vocabulary
     keywords: tuple[str, ...]
+    _scores: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.keywords:
             raise ValueError("keyword relevance requires at least one keyword")
+        n = len(self.keywords)
+        scores = [sum(k in token for k in self.keywords) / n for token in self.vocab.tokens]
+        object.__setattr__(self, "_scores", np.array(scores, dtype=np.float64))
 
     def __call__(self, ctx: GenerationContext, candidate_ids) -> np.ndarray:
-        out = np.empty(len(candidate_ids), dtype=np.float64)
-        for j, tid in enumerate(candidate_ids):
-            token = self.vocab.tokens[tid]
-            hits = sum(1 for k in self.keywords if k in token)
-            out[j] = hits / len(self.keywords)
-        return out
+        return self._scores[np.asarray(candidate_ids, dtype=np.intp)]
 
 
 def _provider_values(name: str, provider, ctx, candidate_ids, vocab: Vocabulary) -> np.ndarray:
@@ -368,14 +410,16 @@ def asts_step(
     h = entropy(dist)
     sigma = sigma_entropy(ctx.entropy_window, cfg.sigma_prior)
     alpha, beta = dynamic_thresholds(h, sigma, cfg.k1, cfg.k2)
-    band = typical_set_band(dist, alpha, beta)
-    candidate_ids = sorted(band.member_ids)
+    ids = band_ids(dist, alpha, beta)
+    candidate_ids = ids.tolist()
 
-    surp = np.array([surprisal(dist, i) for i in candidate_ids])
+    p_in = dist.probs[ids]
+    surp = np.array([-math.log(p) for p in p_in.tolist()])
     coh = 1.0 - np.abs(surp - h)
     sa = _provider_values("alignment", alignment, ctx, candidate_ids, vocab)
+    freq = np.array([ctx.freq.get(i, 0) for i in candidate_ids], dtype=np.float64)
     if diversity_fn is None:
-        div = np.array([diversity_score(ctx.freq_of(i), cfg.eps_div) for i in candidate_ids])
+        div = 1.0 / (freq + cfg.eps_div)
     else:
         div = _provider_values("diversity", diversity_fn, ctx, candidate_ids, vocab)
     if composite_fn is None:
@@ -385,7 +429,7 @@ def asts_step(
 
     relv = _provider_values("relevance", relevance, ctx, candidate_ids, vocab)
     if repetition_fn is None:
-        rep = np.array([repetition_penalty(ctx.freq_of(i), len(ctx)) for i in candidate_ids])
+        rep = freq / len(ctx) if len(ctx) else np.zeros(len(candidate_ids))
     else:
         rep = _provider_values("repetition", repetition_fn, ctx, candidate_ids, vocab)
     if reward_fn is None:
@@ -393,7 +437,6 @@ def asts_step(
     else:
         rew = _provider_values("reward", reward_fn, ctx, candidate_ids, vocab)
 
-    p_in = dist.probs[candidate_ids]
     if cfg.adjust_form == "example":
         exponent = comp + rew
     else:  # "eq13": reward-only exponent, shifted by the input probability
@@ -401,39 +444,23 @@ def asts_step(
     # The audit trail records the literal adjusted weights; normalisation
     # subtracts the max exponent first so extreme scores cannot overflow.
     adjusted = p_in * np.exp(exponent)
-    stable = p_in * np.exp(exponent - exponent.max())
-    normalized = normalize(vocab, _scatter(vocab, candidate_ids, stable), support=candidate_ids)
-    final = temperature_scale(normalized, cfg.temperature, support=candidate_ids)
+    stable = np.zeros(len(vocab), dtype=np.float64)
+    stable[ids] = p_in * np.exp(exponent - exponent.max())
+    normalized = normalize(vocab, stable, support=ids)
+    final = temperature_scale(normalized, cfg.temperature, support=ids)
     token = sample(final, rng)
 
     ctx.append(token)
     ctx.push_entropy(h)
 
-    records = tuple(
-        CandidateScore(
-            token_id=tid,
-            token=vocab.tokens[tid],
-            probability_in=float(p_in[j]),
-            surprisal=float(surp[j]),
-            coherence=float(coh[j]),
-            semantic_alignment=float(sa[j]),
-            diversity=float(div[j]),
-            composite=float(comp[j]),
-            relevance=float(relv[j]),
-            repetition_penalty=float(rep[j]),
-            reward=float(rew[j]),
-            adjusted_weight=float(adjusted[j]),
-            final_probability=float(final.probs[tid]),
+    columns = dict(
+        zip(
+            SCORE_COLUMNS,
+            (p_in, surp, coh, sa, div, comp, relv, rep, rew, adjusted, final.probs[ids]),
         )
-        for j, tid in enumerate(candidate_ids)
     )
     breakdown = ScoreBreakdown(
-        entropy=h, sigma=sigma, alpha=alpha, beta=beta, candidates=records, chosen_id=token
+        entropy=h, sigma=sigma, alpha=alpha, beta=beta, vocab=vocab,
+        token_ids=candidate_ids, columns=columns, chosen_id=token,
     )
     return token, breakdown
-
-
-def _scatter(vocab: Vocabulary, ids, values) -> np.ndarray:
-    out = np.zeros(len(vocab), dtype=np.float64)
-    out[list(ids)] = values
-    return out

@@ -86,6 +86,19 @@ class TokenDistribution:
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
 
+    @classmethod
+    def _checked_by_caller(cls, vocab: Vocabulary, probs: np.ndarray) -> "TokenDistribution":
+        """Wrap a fresh array whose invariants the caller has already checked.
+
+        Internal renormalisations validate their weights once; this skips
+        the second copy-and-check that the constructor would make.
+        """
+        probs.flags.writeable = False
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "vocab", vocab)
+        object.__setattr__(dist, "probs", probs)
+        return dist
+
     def __len__(self) -> int:
         return len(self.vocab)
 
@@ -112,12 +125,15 @@ def entropy(dist: TokenDistribution) -> float:
     """Shannon entropy of ``dist`` in nats.
 
     Entries below ``ENTROPY_FLOOR`` are treated as zero, so degenerate
-    one-hot distributions report exactly 0.0.
+    one-hot distributions report exactly 0.0. Distributions are immutable,
+    so the value is computed once and cached on ``dist``.
     """
-    p = dist.probs[dist.probs >= ENTROPY_FLOOR]
-    if p.size == 0:
-        return 0.0
-    return float(-np.sum(p * np.log(p)))
+    h = dist.__dict__.get("_entropy")
+    if h is None:
+        p = dist.probs[dist.probs >= ENTROPY_FLOOR]
+        h = float(-np.sum(p * np.log(p))) if p.size else 0.0
+        object.__setattr__(dist, "_entropy", h)
+    return h
 
 
 def surprisal(dist: TokenDistribution, token_id: int) -> float:
@@ -133,10 +149,21 @@ def surprisal(dist: TokenDistribution, token_id: int) -> float:
 
 
 def _support_mask(size: int, support) -> np.ndarray:
-    mask = np.zeros(size, dtype=bool)
-    ids = sorted(set(int(i) for i in support))
-    if ids and (ids[0] < 0 or ids[-1] >= size):
+    """Boolean mask of ``support``: a boolean mask, an integer id array or any iterable of ids."""
+    if isinstance(support, np.ndarray) and support.ndim == 1 and support.dtype.kind in "biu":
+        if support.dtype.kind == "b":
+            if support.shape[0] != size:
+                raise IndexError(f"support mask has {support.shape[0]} entries, expected {size}")
+            return support
+        # Large supports (thousands of ids) stay in numpy; min/max find stray ids.
+        ids = support
+        outside = ids.size and (ids.min() < 0 or ids.max() >= size)
+    else:
+        ids = sorted(set(int(i) for i in support))
+        outside = ids and (ids[0] < 0 or ids[-1] >= size)
+    if outside:
         raise IndexError("support contains token ids outside the vocabulary")
+    mask = np.zeros(size, dtype=bool)
     mask[ids] = True
     return mask
 
@@ -144,8 +171,9 @@ def _support_mask(size: int, support) -> np.ndarray:
 def normalize(vocab: Vocabulary, weights, support=None) -> TokenDistribution:
     """Normalise nonnegative weights into a distribution restricted to ``support``.
 
-    Tokens outside ``support`` (an iterable of token ids; None means all)
-    receive probability zero regardless of their weight.
+    Tokens outside ``support`` receive probability zero regardless of their
+    weight. ``support`` is an iterable of token ids, an integer id array or a
+    boolean mask over the vocabulary; None means all tokens.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.shape[0] != len(vocab):
@@ -159,7 +187,9 @@ def normalize(vocab: Vocabulary, weights, support=None) -> TokenDistribution:
     total = w.sum()
     if total <= 0.0:
         raise DistributionError("cannot normalise: total weight over support is zero")
-    return TokenDistribution(vocab, w / total)
+    if not np.isfinite(total):
+        raise DistributionError("cannot normalise: total weight overflows")
+    return TokenDistribution._checked_by_caller(vocab, w / total)
 
 
 def temperature_scale(dist: TokenDistribution, temperature: float, support=None) -> TokenDistribution:
@@ -171,18 +201,18 @@ def temperature_scale(dist: TokenDistribution, temperature: float, support=None)
     """
     if not (temperature > 0.0 and math.isfinite(temperature)):
         raise ValueError(f"temperature must be positive and finite, got {temperature!r}")
-    p = dist.probs.copy()
+    p = dist.probs
     if support is not None:
         p = np.where(_support_mask(len(dist), support), p, 0.0)
     pos = p > 0.0
     if not np.any(pos):
         raise DistributionError("temperature_scale: support carries no probability mass")
-    with np.errstate(divide="ignore"):
-        logp = np.where(pos, np.log(p, where=pos, out=np.full_like(p, -np.inf)), -np.inf)
+    # log is taken only where p > 0; every other entry stays -inf.
+    logp = np.log(p, where=pos, out=np.full_like(p, -np.inf))
     scaled = logp / temperature
     scaled -= scaled[pos].max()
     w = np.exp(scaled, where=np.isfinite(scaled), out=np.zeros_like(scaled))
-    return TokenDistribution(dist.vocab, w / w.sum())
+    return TokenDistribution._checked_by_caller(dist.vocab, w / w.sum())
 
 
 @dataclass

@@ -45,8 +45,28 @@ class EmbeddingTable:
 
 
 def load_table(path) -> EmbeddingTable:
-    """Parse a text embedding file; format errors carry 1-based line numbers."""
-    vectors: dict[str, np.ndarray] = {}
+    """Parse a text embedding file; format errors carry 1-based line numbers.
+
+    All rows are parsed into one ``(count, dim)`` matrix, checked for
+    non-finite components in one pass; each vector is a read-only row of it.
+    """
+    tokens: list[str] = []
+    linenos: list[int] = []
+    values: list[float] = []
+    seen: set[str] = set()
+
+    def matrix() -> np.ndarray:
+        mat = np.array(values, dtype=np.float64).reshape(len(tokens), dim)
+        bad = np.flatnonzero(~np.isfinite(mat).all(axis=1))
+        if bad.size:
+            i = int(bad[0])
+            raise EmbeddingFormatError(f"{path}: line {linenos[i]}: non-finite component for {tokens[i]!r}")
+        return mat
+
+    def fail(lineno: int, message: str):
+        matrix()  # a non-finite row above this line is the file's first error
+        raise EmbeddingFormatError(f"{path}: line {lineno}: {message}")
+
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
         if not header.strip():
@@ -61,31 +81,31 @@ def load_table(path) -> EmbeddingTable:
         if count < 0 or dim < 1:
             raise EmbeddingFormatError(f"{path}: line 1: invalid header values {count} {dim}")
         for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
             fields = line.split()
+            if not fields:
+                continue
             token = fields[0]
             if len(fields) != dim + 1:
-                raise EmbeddingFormatError(
-                    f"{path}: line {lineno}: expected {dim} values for {token!r}, got {len(fields) - 1}"
-                )
-            if token in vectors:
-                raise EmbeddingFormatError(f"{path}: line {lineno}: duplicate token {token!r}")
+                fail(lineno, f"expected {dim} values for {token!r}, got {len(fields) - 1}")
+            if token in seen:
+                fail(lineno, f"duplicate token {token!r}")
             try:
-                vec = np.array([float(x) for x in fields[1:]], dtype=np.float64)
+                row = list(map(float, fields[1:]))
             except ValueError:
-                raise EmbeddingFormatError(
-                    f"{path}: line {lineno}: non-numeric component for {token!r}"
-                ) from None
-            if not np.all(np.isfinite(vec)):
-                raise EmbeddingFormatError(f"{path}: line {lineno}: non-finite component for {token!r}")
-            vec.flags.writeable = False
-            vectors[token] = vec
-    if len(vectors) != count:
+                row = None
+            if row is None:
+                fail(lineno, f"non-numeric component for {token!r}")
+            seen.add(token)
+            tokens.append(token)
+            linenos.append(lineno)
+            values += row
+    mat = matrix()
+    if len(tokens) != count:
         raise EmbeddingFormatError(
-            f"{path}: header declares {count} rows but file contains {len(vectors)}"
+            f"{path}: header declares {count} rows but file contains {len(tokens)}"
         )
-    return EmbeddingTable(dim=dim, vectors=vectors)
+    mat.flags.writeable = False
+    return EmbeddingTable(dim=dim, vectors=dict(zip(tokens, mat)))
 
 
 def save_table(path, table: EmbeddingTable) -> None:
@@ -130,20 +150,24 @@ def context_embedding(
         ids = ids[-context_window:]
     if not ids:
         raise ValueError("context_embedding requires a nonempty history")
-    if pooling not in ("mean", "decay"):
-        raise ValueError(f"unknown pooling {pooling!r}, expected 'mean' or 'decay'")
     rows = []
     for tid in ids:
         token = vocab.tokens[tid]
         if token not in table:
             raise KeyError(f"token {token!r} has no embedding")
         rows.append(table.vector(token))
-    mat = np.stack(rows)
+    return pool_rows(np.stack(rows), pooling, decay)
+
+
+def pool_rows(mat: np.ndarray, pooling: str = "mean", decay: float = 0.8) -> np.ndarray:
+    """Pool the ``(n, dim)`` history rows ``mat``, oldest first; see ``context_embedding``."""
+    if pooling not in ("mean", "decay"):
+        raise ValueError(f"unknown pooling {pooling!r}, expected 'mean' or 'decay'")
     if pooling == "mean":
         return mat.mean(axis=0)
     if not 0.0 < decay <= 1.0:
         raise ValueError(f"decay must lie in (0, 1], got {decay}")
-    ages = np.arange(len(ids) - 1, -1, -1, dtype=np.float64)
+    ages = np.arange(len(mat) - 1, -1, -1, dtype=np.float64)
     w = decay**ages
     return (mat * w[:, None]).sum(axis=0) / w.sum()
 

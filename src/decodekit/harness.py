@@ -364,8 +364,19 @@ def _build_relevance(cfg: dict, vocab: Vocabulary):
     return ConstantScores(0.0)
 
 
-def build_sampler(cfg: dict, vocab: Vocabulary):
-    """Fresh per-sequence sampler adapter for the configured strategy."""
+def build_providers(cfg: dict, vocab: Vocabulary):
+    """The ASTS (alignment, relevance) providers; None for other samplers."""
+    if cfg["sampler"] != "asts":
+        return None
+    return _build_alignment(cfg, vocab), _build_relevance(cfg, vocab)
+
+
+def build_sampler(cfg: dict, vocab: Vocabulary, providers=None):
+    """Fresh per-sequence sampler adapter for the configured strategy.
+
+    ``providers`` passes a run's ``build_providers`` result to each
+    sequence; without it an ASTS sampler builds its own.
+    """
     name = cfg["sampler"]
     if name == "greedy":
         return GreedySampler()
@@ -379,11 +390,8 @@ def build_sampler(cfg: dict, vocab: Vocabulary):
     if name == "lts":
         return LtsSampler(cfg=LtsConfig(**cfg["lts"]))
     if name == "asts":
-        return AstsSampler(
-            cfg=_asts_config(cfg),
-            alignment=_build_alignment(cfg, vocab),
-            relevance=_build_relevance(cfg, vocab),
-        )
+        alignment, relevance = providers or build_providers(cfg, vocab)
+        return AstsSampler(cfg=_asts_config(cfg), alignment=alignment, relevance=relevance)
     raise ConfigError(f"sampler: unknown sampler {name!r}")
 
 
@@ -408,22 +416,43 @@ def _tokens_to_ids(tokens, vocab: Vocabulary, where: str) -> tuple[int, ...]:
     return tuple(ids)
 
 
-def run_sequence(cfg: dict, index: int) -> dict:
-    """Generate sequence ``index`` of a run; pure function of (cfg, index)."""
+@dataclass(frozen=True)
+class RunInputs:
+    """What every sequence of a run shares; immutable, so built once per run."""
+
+    model: object
+    prompts: list
+    providers: tuple | None
+    audit: bool  # whether sequences keep their ASTS audit records
+
+
+def prepare_run(cfg: dict, audit: bool = False) -> RunInputs:
+    """Build a run's model, prompts and ASTS providers; input errors raise here."""
     model = build_model(cfg)
+    providers = build_providers(cfg, model.vocab)
+    return RunInputs(model, _resolve_prompts(cfg, model.vocab), providers, audit)
+
+
+def run_sequence(cfg: dict, index: int, inputs: RunInputs | None = None) -> dict:
+    """Generate sequence ``index`` of a run; pure function of (cfg, index).
+
+    ``inputs`` are the run's ``prepare_run(cfg, audit)``; without them they
+    are built here, with no audit.
+    """
+    inputs = inputs or prepare_run(cfg)
+    model = inputs.model
     vocab = model.vocab
-    sampler = build_sampler(cfg, vocab)
-    prompts = _resolve_prompts(cfg, vocab)
+    sampler = build_sampler(cfg, vocab, inputs.providers)
     tokens, trace = simlm.drive(
-        lambda ctx, step: model.next(ctx, step),
+        model.next,
         sampler,
         seed=cfg["seed"] + index,
         max_tokens=cfg["max_tokens"],
-        prompt=prompts[index % len(prompts)],
+        prompt=inputs.prompts[index % len(inputs.prompts)],
         window_w=cfg["asts"]["window_w"],
     )
     audit = []
-    if isinstance(sampler, AstsSampler):
+    if inputs.audit and isinstance(sampler, AstsSampler):
         audit = [
             {"sequence": index, "step": t, **b.to_json_dict()}
             for t, b in enumerate(sampler.breakdowns)
@@ -437,18 +466,35 @@ def run_sequence(cfg: dict, index: int) -> dict:
     }
 
 
-def _sequence_job(args) -> dict:
-    cfg, index = args
-    return run_sequence(cfg, index)
+# A pool worker's (cfg, inputs), set once per worker by the pool initializer.
+_worker_run: tuple = ()
 
 
-def run_generation(cfg: dict) -> list[dict]:
-    """All sequences of a run, in id order; parallel when workers > 1."""
+def _init_worker(cfg: dict, inputs: RunInputs) -> None:
+    global _worker_run
+    _worker_run = (cfg, inputs)
+
+
+def _sequence_job(index: int) -> dict:
+    cfg, inputs = _worker_run
+    return run_sequence(cfg, index, inputs)
+
+
+def run_generation(cfg: dict, audit: bool = False) -> list[dict]:
+    """All sequences of a run, in id order; parallel when workers > 1.
+
+    The run's inputs are built once, here, so a broken input raises before
+    any worker starts; each worker receives them once. ``audit`` keeps each
+    ASTS step's score breakdown in the records.
+    """
+    inputs = prepare_run(cfg, audit)
     indices = range(cfg["num_sequences"])
     if cfg["workers"] > 1:
-        with ProcessPoolExecutor(max_workers=cfg["workers"]) as pool:
-            return list(pool.map(_sequence_job, [(cfg, i) for i in indices]))
-    return [run_sequence(cfg, i) for i in indices]
+        with ProcessPoolExecutor(
+            max_workers=cfg["workers"], initializer=_init_worker, initargs=(cfg, inputs)
+        ) as pool:
+            return list(pool.map(_sequence_job, indices))
+    return [run_sequence(cfg, i, inputs) for i in indices]
 
 
 # --------------------------------------------------------------------------
@@ -467,8 +513,8 @@ def cmd_generate(config_path, audit_path=None) -> list[dict]:
     out_path = cfg["output"]["corpus"]
     _expect(bool(out_path), "output.corpus", "output path required for generate")
     # Input errors (a broken embedding table, an unknown prompt token) raise
-    # from run_sequence, before any output file is opened.
-    records = run_generation(cfg)
+    # from prepare_run, before any output file is opened.
+    records = run_generation(cfg, audit=audit_path is not None)
     with _open_out(out_path) as fh:
         for rec in records:
             fh.write(

@@ -63,8 +63,8 @@ def _deviations(dist: TokenDistribution) -> tuple[np.ndarray, np.ndarray, float]
     return ids, surp, entropy(dist)
 
 
-def typical_set_band(dist: TokenDistribution, alpha: float, beta: float) -> TypicalSet:
-    """Tokens with surprisal in [alpha, beta], renormalised.
+def band_ids(dist: TokenDistribution, alpha: float, beta: float) -> np.ndarray:
+    """Ascending ids of the tokens with surprisal in [alpha, beta].
 
     An empty band falls back to the singleton of minimal typicality
     deviation (ties broken by lowest token id) so downstream samplers
@@ -77,8 +77,13 @@ def typical_set_band(dist: TokenDistribution, alpha: float, beta: float) -> Typi
     if inside.size == 0:
         dev = np.abs(surp - h)
         inside = ids[np.argmin(dev)][None]  # argmin returns the lowest id on ties
-    members = frozenset(int(i) for i in inside)
-    return TypicalSet(members, normalize(dist.vocab, dist.probs, support=members))
+    return inside
+
+
+def typical_set_band(dist: TokenDistribution, alpha: float, beta: float) -> TypicalSet:
+    """The ``band_ids`` set, renormalised."""
+    inside = band_ids(dist, alpha, beta)
+    return TypicalSet(frozenset(inside.tolist()), normalize(dist.vocab, dist.probs, support=inside))
 
 
 def typical_set_mass(dist: TokenDistribution, tau: float) -> TypicalSet:
@@ -95,9 +100,8 @@ def typical_set_mass(dist: TokenDistribution, tau: float) -> TypicalSet:
     ranked = ids[order]
     cum = np.cumsum(dist.probs[ranked])
     k = int(np.searchsorted(cum, tau, side="left")) + 1
-    k = min(k, ranked.size)
-    members = frozenset(int(i) for i in ranked[:k])
-    return TypicalSet(members, normalize(dist.vocab, dist.probs, support=members))
+    keep = ranked[: min(k, ranked.size)]
+    return TypicalSet(frozenset(keep.tolist()), normalize(dist.vocab, dist.probs, support=keep))
 
 
 def lts_step(dist: TokenDistribution, cfg: LtsConfig, rng: Rng) -> tuple[int, TypicalSet]:

@@ -5,11 +5,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SEVEN_ENTROPY, SEVEN_PROBS, SEVEN_TOKENS
 from decodekit.asts import (
+    ADJUST_FORMS,
     AstsConfig,
     ConstantScores,
     EmbeddingAlignment,
@@ -28,8 +29,8 @@ from decodekit.asts import (
     reward,
     sigma_entropy,
 )
-from decodekit.core import Rng, TokenDistribution, Vocabulary, sample
-from decodekit.embed import context_embedding, cosine, synthetic_table
+from decodekit.core import Rng, TokenDistribution, Vocabulary, default_vocabulary, sample, surprisal
+from decodekit.embed import EmbeddingTable, context_embedding, cosine, load_table, synthetic_table
 
 # Hand-computed reference tables for the seven-token fixture, over the four
 # band members (analyze, optimize, function, tasks).
@@ -442,3 +443,92 @@ class TestPipelineBehaviour:
         total = sum(c.final_probability for c in bd.candidates)
         assert total == pytest.approx(1.0, abs=1e-9)
         assert bd.chosen_id in {c.token_id for c in bd.candidates}
+
+
+def _random_table_file(tmp_path, vocab, dim, seed):
+    """A text embedding file of gaussian vectors, read back through load_table."""
+    gen = np.random.default_rng(seed)
+    path = tmp_path / f"emb{dim}.txt"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{len(vocab)} {dim}\n")
+        for token in vocab.tokens:
+            fh.write(token + " " + " ".join(repr(float(v)) for v in gen.standard_normal(dim)) + "\n")
+    return load_table(path)
+
+
+class TestArrayProvidersEqualScalarLoops:
+    """The array providers give bit for bit the per-candidate scalar values."""
+
+    @pytest.mark.parametrize("source", ["synthetic", "file"])
+    @pytest.mark.parametrize("pooling", ["mean", "decay"])
+    @pytest.mark.parametrize("dim", [3, 16, 64])
+    @pytest.mark.parametrize("context_window", [0, 5])
+    def test_embedding_alignment_equals_cosine(self, tmp_path, source, pooling, dim, context_window):
+        vocab = default_vocabulary(120)
+        if source == "synthetic":
+            table = synthetic_table(vocab, dim=dim, seed=dim)
+        else:
+            table = _random_table_file(tmp_path, vocab, dim, seed=dim)
+        provider = EmbeddingAlignment(table, vocab, pooling=pooling, decay=0.7, context_window=context_window)
+        gen = np.random.default_rng(dim + context_window)
+        for _ in range(30):
+            ctx = GenerationContext(history=[int(t) for t in gen.integers(0, len(vocab), gen.integers(1, 40))])
+            ids = sorted(set(gen.integers(0, len(vocab), gen.integers(1, 118)).tolist()))
+            ctx_vec = context_embedding(
+                ctx.history, table, vocab, pooling=pooling, decay=0.7, context_window=context_window
+            )
+            expected = [cosine(table.vector(vocab.tokens[i]), ctx_vec) for i in ids]
+            assert provider(ctx, ids).tolist() == expected
+
+    def test_embedding_alignment_errors_name_the_token(self, seven_vocab):
+        vectors = {t: np.ones(2) for t in SEVEN_TOKENS if t not in ("data", "solve")}
+        vectors["solve"] = np.zeros(2)
+        provider = EmbeddingAlignment(EmbeddingTable(dim=2, vectors=vectors), seven_vocab)
+        ctx = GenerationContext(history=[0, 1])
+        with pytest.raises(KeyError, match="'data' has no embedding"):
+            provider(ctx, [0, 4, 6])
+        with pytest.raises(ProviderError, match="'solve' has a zero-norm embedding"):
+            provider(ctx, [0, 6, 4])
+        with pytest.raises(KeyError, match="'data' has no embedding"):
+            provider(GenerationContext(history=[0, 4]), [0])
+
+    def test_keyword_relevance_equals_token_loop(self):
+        vocab = default_vocabulary(300)
+        keywords = ("tok0", "1", "99", "tok2")
+        provider = KeywordRelevance(vocab, keywords)
+        ids = list(range(0, 300, 7))
+        expected = [sum(1 for k in keywords if k in vocab.tokens[i]) / len(keywords) for i in ids]
+        assert provider(GenerationContext(), ids).tolist() == expected
+
+
+class TestStepColumnsEqualScalarFormulas:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.floats(min_value=1e-4, max_value=1e4), min_size=2, max_size=40),
+        st.lists(st.integers(0, 39), max_size=30),
+        st.floats(min_value=0.0, max_value=3.0),
+        st.sampled_from(ADJUST_FORMS),
+        st.integers(0, 2**31 - 1),
+    )
+    def test_columns_equal_scalar_scores(self, weights, history, k, adjust_form, seed):
+        dist = make_dist(weights)
+        vocab = dist.vocab
+        history = [t % len(vocab) for t in history]
+        cfg = AstsConfig(k1=k, k2=k, eps_div=0.5, adjust_form=adjust_form)
+        alignment = EmbeddingAlignment(synthetic_table(vocab, dim=8, seed=1), vocab, pooling="decay")
+        relevance = KeywordRelevance(vocab, ("t1", "2"))
+        ctx = GenerationContext(history=list(history))
+        before = GenerationContext(history=list(history))
+        _, bd = asts_step(dist, ctx, cfg, alignment, relevance, Rng(seed))
+
+        h = bd.entropy
+        for c in bd.candidates:
+            freq = before.freq_of(c.token_id)
+            assert c.probability_in == dist.prob(c.token_id)
+            assert c.surprisal == surprisal(dist, c.token_id)
+            assert c.coherence == coherence_score(c.surprisal, h)
+            assert c.diversity == diversity_score(freq, cfg.eps_div)
+            assert c.repetition_penalty == repetition_penalty(freq, len(before))
+            assert c.composite == composite_score(c.coherence, c.semantic_alignment, c.diversity, cfg)
+            assert c.reward == reward(c.semantic_alignment, c.relevance, c.repetition_penalty, cfg)
+        assert bd.to_json_dict()["candidates"] == [c.to_json_dict() for c in bd.candidates]

@@ -172,6 +172,39 @@ class TestNormalize:
         with pytest.raises(IndexError):
             normalize(seven_vocab, np.ones(7), support=[7])
 
+    @pytest.mark.parametrize(
+        "support",
+        [[5, 2, 5], frozenset({2, 5}), np.array([5, 2]), np.array([2, 5], dtype=np.uint8),
+         np.array([False, False, True, False, False, True, False])],
+    )
+    def test_support_forms_agree(self, seven_vocab, support):
+        dist = normalize(seven_vocab, SEVEN_PROBS, support=support)
+        assert dist.probs.tolist() == normalize(seven_vocab, SEVEN_PROBS, support=[2, 5]).probs.tolist()
+
+    def test_support_array_and_mask_checked(self, seven_vocab):
+        with pytest.raises(IndexError):
+            normalize(seven_vocab, np.ones(7), support=np.array([0, 7]))
+        with pytest.raises(IndexError):
+            normalize(seven_vocab, np.ones(7), support=np.array([-1, 2]))
+        with pytest.raises(IndexError):
+            normalize(seven_vocab, np.ones(7), support=np.ones(6, dtype=bool))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_total_rejected(self, seven_vocab):
+        with pytest.raises(DistributionError, match="overflows"):
+            normalize(seven_vocab, np.full(7, 1e308))
+
+    @given(weight_lists)
+    def test_result_equals_checked_construction(self, weights):
+        # normalize skips the constructor's second check, not its result.
+        vocab = Vocabulary.from_tokens(f"t{i}" for i in range(len(weights)))
+        dist = normalize(vocab, weights)
+        w = np.asarray(weights, dtype=np.float64)
+        checked = TokenDistribution(vocab, w / w.sum())
+        assert dist.probs.tolist() == checked.probs.tolist()
+        assert not dist.probs.flags.writeable
+        assert entropy(dist) == entropy(checked) == entropy(dist)
+
     @given(weight_lists)
     def test_idempotent(self, weights):
         vocab = Vocabulary.from_tokens(f"t{i}" for i in range(len(weights)))

@@ -82,6 +82,23 @@ class TestLoadTable:
             assert back.vector(token).tolist() == table.vector(token).tolist()
 
 
+    def test_first_error_in_file_order(self, tmp_path):
+        # The non-finite row comes before the duplicate, so it is reported.
+        path = write_table(tmp_path, "3 2\nalpha 1 0\nbeta nan 1\nalpha 0 1\n")
+        with pytest.raises(EmbeddingFormatError, match="line 3: non-finite component for 'beta'"):
+            load_table(path)
+        path = write_table(tmp_path, "3 2\nalpha 1 0\n\nbeta 1 1\ngamma 1 -inf\n")
+        with pytest.raises(EmbeddingFormatError, match="line 5: non-finite component for 'gamma'"):
+            load_table(path)
+
+    def test_rows_parse_like_python_floats(self, tmp_path):
+        path = write_table(tmp_path, "2 3\nalpha 1_0 -0.0 1e-320\nbeta .5 +3 7\n")
+        table = load_table(path)
+        assert table.vector("alpha").tolist() == [10.0, -0.0, 1e-320]
+        assert table.vector("beta").tolist() == [0.5, 3.0, 7.0]
+        assert not table.vector("beta").flags.writeable
+
+
 class TestTable:
     def test_vector_missing_token_named(self):
         table = EmbeddingTable(dim=2, vectors={"a": np.array([1.0, 0.0])})

@@ -4,6 +4,9 @@ import json
 
 import pytest
 
+from decodekit.asts import CandidateScore, ScoreBreakdown
+from decodekit.core import default_vocabulary
+from decodekit.embed import load_table, save_table, synthetic_table
 from decodekit.harness import (
     ConfigError,
     DataError,
@@ -14,6 +17,7 @@ from decodekit.harness import (
     cmd_sweep,
     get_by_path,
     load_config,
+    prepare_run,
     run_generation,
     run_sequence,
     set_by_path,
@@ -233,6 +237,67 @@ class TestGenerate:
         cfg = load_config(write_config(tmp_path, base_overrides(tmp_path)))
         records = run_generation(cfg)
         assert [r["id"] for r in records] == [0, 1, 2]
+
+
+def asts_embedding_overrides(tmp_path, **extra):
+    """An ASTS run with file-table alignment and keyword relevance."""
+    vocab = default_vocabulary(32)
+    save_table(tmp_path / "emb.txt", synthetic_table(vocab, dim=6, seed=4))
+    return base_overrides(
+        tmp_path,
+        sampler="asts",
+        num_sequences=4,
+        asts={"alignment": "embedding", "relevance": "keywords", "keywords": ["tok01", "2"], "k1": 0.8, "k2": 0.8},
+        embed={"table": str(tmp_path / "emb.txt"), "dim": 6, "pooling": "decay"},
+        **extra,
+    )
+
+
+class TestRunInputs:
+    def test_no_audit_records_without_an_audit_path(self, tmp_path, monkeypatch):
+        built = []
+        for cls, name in ((CandidateScore, "__init__"), (ScoreBreakdown, "to_json_dict")):
+            original = cls.__dict__[name]
+
+            def counting(*args, _original=original, _name=name, **kwargs):
+                built.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counting)
+        records = cmd_generate(write_config(tmp_path, asts_embedding_overrides(tmp_path)))
+        assert built == []
+        assert all(r["audit"] == [] for r in records)
+        cmd_generate(write_config(tmp_path, asts_embedding_overrides(tmp_path)), tmp_path / "audit.jsonl")
+        assert built.count("to_json_dict") == 4 * 10
+        assert "__init__" not in built  # the audit is written from columns
+
+    def test_embedding_table_built_once_per_run(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(path):
+            calls.append(path)
+            return load_table(path)
+
+        monkeypatch.setattr("decodekit.harness.load_table", counting)
+        cmd_generate(write_config(tmp_path, asts_embedding_overrides(tmp_path)), tmp_path / "audit.jsonl")
+        assert len(calls) == 1
+
+    def test_workers_leave_corpus_and_audit_bytes_unchanged(self, tmp_path):
+        outputs = []
+        for workers in (1, 2):
+            cfg = write_config(tmp_path, asts_embedding_overrides(tmp_path, workers=workers))
+            cmd_generate(cfg, tmp_path / "audit.jsonl")
+            outputs.append(((tmp_path / "out.jsonl").read_bytes(), (tmp_path / "audit.jsonl").read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1].count(b"\n") == 4 * 10
+
+    def test_run_sequence_with_prepared_inputs_matches_standalone(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, asts_embedding_overrides(tmp_path)))
+        inputs = prepare_run(cfg, audit=True)
+        for index in range(3):
+            shared = run_sequence(cfg, index, inputs)
+            assert shared["tokens"] == run_sequence(cfg, index)["tokens"]
+            assert len(shared["audit"]) == 10
 
 
 class TestReplayModel:
