@@ -1,4 +1,5 @@
-"""Pinned output digests: the shipped configs and the criterion-5 arms.
+"""Pinned output digests: the shipped configs, the criterion-5 arms and the
+truncation samplers that no shipped config runs.
 
 Each case runs ``cmd_generate`` on a fixed config and compares the SHA-256
 of the corpus (and, for ASTS runs, of the ``--audit`` file) with a digest
@@ -44,6 +45,20 @@ MECHANISM = {
     },
 }
 
+# Greedy, top-k, nucleus and LTS band on a mixed model, at a small and a
+# large vocabulary, each sequence continuing a prompt.
+TRUNCATION = {
+    "seed": 3,
+    "max_tokens": 24,
+    "num_sequences": 3,
+    "model": {"selector": "synthetic:mixed", "synthetic": {"seed": 11}},
+    "prompt": {"tokens": ["tok001", "tok017", "tok042"]},
+    "topk": {"k": 20},
+    "nucleus": {"p": 0.9},
+    "lts": {"mode": "band", "epsilon": 0.5},
+}
+TRUNCATION_SAMPLERS = {"greedy": "greedy", "topk": "topk", "nucleus": "nucleus", "lts_band": "lts"}
+
 # case -> (corpus sha256, audit sha256 or None when the run writes no audit)
 DIGESTS = {
     "generate_asts": (
@@ -60,10 +75,24 @@ DIGESTS = {
         "87495d2bb5af82ab3de56e27fad18b98d897a01a5bd6202a82cbbcc351c78d00",
         "7535da21ae97316c1e981e41bb4404afdbc150e8fa6f868d71e9e9c345c49b05",
     ),
+    "greedy_v256": ("b6bba7ed2e2f68f88e08680d5c100c7a75f48d8d590082ec9164a97cd5093ab3", None),
+    "greedy_v4096": ("4de1bf4733c520a3be97a1d130597eac599a6d9e1af5d07dcff4c9ab058ea2d0", None),
+    "topk_v256": ("008d62f9e256a34c9a86593e764efa9ed773520012e890b4d4c9079625018b9d", None),
+    "topk_v4096": ("8828f39a97eac873eda59dc93f4e6d64f21301e06a197e2118e3d43ae44c0251", None),
+    "nucleus_v256": ("1a31deefeeffec1b89f46fa6daa06b1f66e4529a2dc96c1632281b3fa27fe499", None),
+    "nucleus_v4096": ("caf168809b49ad20de1adaa37668003df883efc2ee9961d1dec9c435d7537bc6", None),
+    "lts_band_v256": ("84a65a2761a9e25b142d3e26bce32bf17bcbf96e3c1e3af330c7fdf091de1b32", None),
+    "lts_band_v4096": ("9a67adaeb046bcb4a16a2aaafffdcaf3013411c3b52fd5c507f63b514318e0d3", None),
 }
 
 
 def _case_config(case: str) -> dict:
+    name, _, vocab = case.rpartition("_v")
+    if name in TRUNCATION_SAMPLERS:
+        cfg = json.loads(json.dumps(TRUNCATION))
+        cfg["sampler"] = TRUNCATION_SAMPLERS[name]
+        cfg["model"]["synthetic"]["vocab_size"] = int(vocab)
+        return cfg
     if case.startswith("mechanism_mu3_"):
         cfg = json.loads(json.dumps(MECHANISM))
         cfg["asts"]["mu3"] = float(case.rsplit("_", 1)[1])
