@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -133,21 +133,7 @@ class CandidateScore:
     final_probability: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "token_id": self.token_id,
-            "token": self.token,
-            "probability_in": self.probability_in,
-            "surprisal": self.surprisal,
-            "coherence": self.coherence,
-            "semantic_alignment": self.semantic_alignment,
-            "diversity": self.diversity,
-            "composite": self.composite,
-            "relevance": self.relevance,
-            "repetition_penalty": self.repetition_penalty,
-            "reward": self.reward,
-            "adjusted_weight": self.adjusted_weight,
-            "final_probability": self.final_probability,
-        }
+        return asdict(self)
 
 
 # The per-candidate score fields of CandidateScore, in record order.
@@ -397,7 +383,7 @@ def asts_step(
     composite_fn=None,
     reward_fn=None,
 ) -> tuple[int, ScoreBreakdown]:
-    """Run one full ASTS decoding step and advance ``ctx``.
+    """Run one full ASTS decoding step; ``ctx`` is read, not changed.
 
     ``alignment`` and ``relevance`` are score providers as described in the
     module docstring. The four ``*_fn`` hooks optionally replace the
@@ -449,9 +435,6 @@ def asts_step(
     normalized = normalize(vocab, stable, support=ids)
     final = temperature_scale(normalized, cfg.temperature, support=ids)
     token = sample(final, rng)
-
-    ctx.append(token)
-    ctx.push_entropy(h)
 
     columns = dict(
         zip(

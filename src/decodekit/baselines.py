@@ -1,9 +1,10 @@
 """Reference samplers: greedy, top-k, nucleus (top-p) and a Mirostat-style
 surprise-feedback controller.
 
-The truncation helpers (``topk_restrict`` / ``nucleus_restrict``) are split
-out from the sampling steps so tests can assert on the restricted
-distribution directly.
+Top-k and nucleus are truncation rules: ``topk_restrict`` and
+``nucleus_restrict`` map a distribution to its renormalised truncation,
+which ``samplers.TruncationSampler`` then draws from. Greedy takes no draw,
+and Mirostat's cut depends on its controller state, so both are steps.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from decodekit.core import Rng, TokenDistribution, normalize, sample, surprisal
+from decodekit.core import Rng, TokenDistribution, mass_prefix, normalize, sample, surprisal
 
 
 def greedy_step(dist: TokenDistribution) -> int:
@@ -32,28 +33,15 @@ def topk_restrict(dist: TokenDistribution, k: int) -> TokenDistribution:
     """Renormalise over the k most probable tokens (clamped to the support)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    ranked = _by_probability(dist)
-    keep = ranked[: min(k, ranked.size)]
-    return normalize(dist.vocab, dist.probs, support=keep)
-
-
-def topk_step(dist: TokenDistribution, k: int, rng: Rng) -> int:
-    return sample(topk_restrict(dist, k), rng)
+    return normalize(dist.vocab, dist.probs, support=_by_probability(dist)[:k])
 
 
 def nucleus_restrict(dist: TokenDistribution, p: float) -> TokenDistribution:
     """Smallest probability-descending prefix with cumulative mass >= p."""
     if not 0.0 < p <= 1.0:
         raise ValueError(f"nucleus p must lie in (0, 1], got {p}")
-    ranked = _by_probability(dist)
-    cum = np.cumsum(dist.probs[ranked])
-    k = int(np.searchsorted(cum, p, side="left")) + 1
-    keep = ranked[: min(k, ranked.size)]
+    keep = mass_prefix(dist, _by_probability(dist), p)
     return normalize(dist.vocab, dist.probs, support=keep)
-
-
-def nucleus_step(dist: TokenDistribution, p: float, rng: Rng) -> int:
-    return sample(nucleus_restrict(dist, p), rng)
 
 
 @dataclass(frozen=True)

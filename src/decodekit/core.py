@@ -192,6 +192,12 @@ def normalize(vocab: Vocabulary, weights, support=None) -> TokenDistribution:
     return TokenDistribution._checked_by_caller(vocab, w / total)
 
 
+def mass_prefix(dist: TokenDistribution, ranked: np.ndarray, mass: float) -> np.ndarray:
+    """Shortest prefix of the ranked ids ``ranked`` whose probability reaches ``mass``."""
+    cum = np.cumsum(dist.probs[ranked])
+    return ranked[: int(np.searchsorted(cum, mass, side="left")) + 1]
+
+
 def temperature_scale(dist: TokenDistribution, temperature: float, support=None) -> TokenDistribution:
     """Sharpen or flatten ``dist`` by exponent 1/T over ``support``.
 

@@ -21,24 +21,18 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 
 import numpy as np
 
 from decodekit import golden, metrics, simlm
 from decodekit.asts import AstsConfig, ConstantScores, EmbeddingAlignment, GenerationContext, KeywordRelevance
+from decodekit.baselines import MirostatState, nucleus_restrict, topk_restrict
 from decodekit.core import TokenDistribution, Vocabulary, default_vocabulary
 from decodekit.embed import EmbeddingFormatError, load_table, synthetic_table
-from decodekit.lts import LtsConfig
+from decodekit.lts import LtsConfig, lts_restrict
 from decodekit.metrics import SequenceCorpus, UniformScorer
-from decodekit.samplers import (
-    SAMPLER_NAMES,
-    AstsSampler,
-    GreedySampler,
-    LtsSampler,
-    MirostatSampler,
-    NucleusSampler,
-    TopKSampler,
-)
+from decodekit.samplers import SAMPLER_NAMES, AstsSampler, GreedySampler, MirostatSampler, TruncationSampler
 from decodekit.simlm import KINDS, LmProfile, next_distribution
 
 
@@ -381,14 +375,14 @@ def build_sampler(cfg: dict, vocab: Vocabulary, providers=None):
     if name == "greedy":
         return GreedySampler()
     if name == "topk":
-        return TopKSampler(k=get_by_path(cfg, "topk.k"))
+        return TruncationSampler(partial(topk_restrict, k=get_by_path(cfg, "topk.k")))
     if name == "nucleus":
-        return NucleusSampler(p=get_by_path(cfg, "nucleus.p"))
+        return TruncationSampler(partial(nucleus_restrict, p=get_by_path(cfg, "nucleus.p")))
     if name == "mirostat":
         m = cfg["mirostat"]
-        return MirostatSampler.fresh(target_tau=m["tau"], eta=m["eta"], mu0=m["mu0"])
+        return MirostatSampler(MirostatState.initial(target_tau=m["tau"], eta=m["eta"], mu0=m["mu0"]))
     if name == "lts":
-        return LtsSampler(cfg=LtsConfig(**cfg["lts"]))
+        return TruncationSampler(partial(lts_restrict, cfg=LtsConfig(**cfg["lts"])))
     if name == "asts":
         alignment, relevance = providers or build_providers(cfg, vocab)
         return AstsSampler(cfg=_asts_config(cfg), alignment=alignment, relevance=relevance)

@@ -1,10 +1,13 @@
 """Locally typical sampling: restrict decoding to tokens whose surprisal
 sits close to the entropy of the step distribution.
 
-Two constructions of the typical set are supported. The band variant keeps
-tokens whose surprisal lies in an explicit interval [alpha, beta]; the mass
-variant ranks tokens by typicality deviation |surprisal - entropy| and
-keeps the smallest prefix whose cumulative probability reaches tau.
+Two constructions of the typical set are supported, each a truncation rule
+that returns the distribution renormalised over its set. The band variant
+keeps tokens whose surprisal lies in an explicit interval [alpha, beta];
+the mass variant ranks tokens by typicality deviation |surprisal - entropy|
+and keeps the smallest prefix whose cumulative probability reaches tau.
+``lts_restrict`` picks one from an ``LtsConfig``, and
+``samplers.TruncationSampler`` draws from its result.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from decodekit.core import Rng, TokenDistribution, entropy, normalize, sample
+from decodekit.core import TokenDistribution, entropy, mass_prefix, normalize
 
 
 @dataclass(frozen=True)
@@ -29,29 +32,6 @@ class LtsConfig:
             raise ValueError(f"lts.epsilon must be >= 0, got {self.epsilon}")
         if not 0.0 < self.tau_mass <= 1.0:
             raise ValueError(f"lts.tau_mass must lie in (0, 1], got {self.tau_mass}")
-
-
-@dataclass(frozen=True)
-class TypicalSet:
-    """A nonempty candidate set plus the renormalised distribution over it."""
-
-    member_ids: frozenset[int]
-    renormalized: TokenDistribution
-
-    def __post_init__(self) -> None:
-        if not self.member_ids:
-            raise ValueError("typical set must be nonempty")
-
-
-def typicality_deviation(dist: TokenDistribution, token_id: int) -> float:
-    """|surprisal(token) - entropy(dist)|; zero-probability tokens are rejected."""
-    p = dist.prob(token_id)
-    if p <= 0.0:
-        raise ValueError(
-            f"typicality deviation undefined for zero-probability token "
-            f"{dist.vocab.tokens[token_id]!r}"
-        )
-    return float(abs(-np.log(p) - entropy(dist)))
 
 
 def _deviations(dist: TokenDistribution) -> tuple[np.ndarray, np.ndarray, float]:
@@ -80,14 +60,13 @@ def band_ids(dist: TokenDistribution, alpha: float, beta: float) -> np.ndarray:
     return inside
 
 
-def typical_set_band(dist: TokenDistribution, alpha: float, beta: float) -> TypicalSet:
+def typical_set_band(dist: TokenDistribution, alpha: float, beta: float) -> TokenDistribution:
     """The ``band_ids`` set, renormalised."""
-    inside = band_ids(dist, alpha, beta)
-    return TypicalSet(frozenset(inside.tolist()), normalize(dist.vocab, dist.probs, support=inside))
+    return normalize(dist.vocab, dist.probs, support=band_ids(dist, alpha, beta))
 
 
-def typical_set_mass(dist: TokenDistribution, tau: float) -> TypicalSet:
-    """Smallest deviation-ranked prefix reaching cumulative probability tau.
+def typical_set_mass(dist: TokenDistribution, tau: float) -> TokenDistribution:
+    """Smallest deviation-ranked prefix reaching cumulative probability tau, renormalised.
 
     Ranking is by ascending |surprisal - entropy| with ties broken by
     ascending token id, so the construction is deterministic.
@@ -95,20 +74,13 @@ def typical_set_mass(dist: TokenDistribution, tau: float) -> TypicalSet:
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must lie in (0, 1], got {tau}")
     ids, surp, h = _deviations(dist)
-    dev = np.abs(surp - h)
-    order = np.lexsort((ids, dev))  # primary key deviation, secondary token id
-    ranked = ids[order]
-    cum = np.cumsum(dist.probs[ranked])
-    k = int(np.searchsorted(cum, tau, side="left")) + 1
-    keep = ranked[: min(k, ranked.size)]
-    return TypicalSet(frozenset(keep.tolist()), normalize(dist.vocab, dist.probs, support=keep))
+    order = np.lexsort((ids, np.abs(surp - h)))  # primary key deviation, secondary token id
+    return normalize(dist.vocab, dist.probs, support=mass_prefix(dist, ids[order], tau))
 
 
-def lts_step(dist: TokenDistribution, cfg: LtsConfig, rng: Rng) -> tuple[int, TypicalSet]:
-    """Draw one token via locally typical sampling; returns (token, set)."""
+def lts_restrict(dist: TokenDistribution, cfg: LtsConfig) -> TokenDistribution:
+    """The typical set ``cfg`` selects, renormalised: band h +/- epsilon or mass tau."""
     if cfg.mode == "band":
         h = entropy(dist)
-        ts = typical_set_band(dist, h - cfg.epsilon, h + cfg.epsilon)
-    else:
-        ts = typical_set_mass(dist, cfg.tau_mass)
-    return sample(ts.renormalized, rng), ts
+        return typical_set_band(dist, h - cfg.epsilon, h + cfg.epsilon)
+    return typical_set_mass(dist, cfg.tau_mass)

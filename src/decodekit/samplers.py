@@ -1,71 +1,47 @@
 """Step adapters giving every sampler the same drive-loop interface.
 
-An adapter exposes ``step(dist, ctx, rng) -> token id`` plus an
-``advances_context`` flag. Most samplers leave context bookkeeping to the
-drive loop; ASTS appends to the context itself as part of its contract, so
-its adapter sets the flag. Adapters are cheap to construct and hold any
-per-sequence state (mirostat's controller, the ASTS audit trail), so the
-harness builds a fresh one per sequence.
+An adapter exposes ``step(dist, ctx, rng) -> token id`` and reads ``ctx``
+without changing it; the drive loop appends each token and its step
+entropy. ``TruncationSampler`` draws from any truncation rule
+``dist -> renormalised dist`` (top-k, nucleus, LTS band or mass). Greedy
+takes no draw, and Mirostat and ASTS keep per-sequence state (the
+controller, the audit trail), so the harness builds a fresh adapter per
+sequence.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from decodekit.asts import AstsConfig, ScoreBreakdown, asts_step
-from decodekit.baselines import MirostatState, greedy_step, mirostat_step, nucleus_step, topk_step
-from decodekit.core import Rng, TokenDistribution
-from decodekit.lts import LtsConfig, lts_step
+from decodekit.baselines import MirostatState, greedy_step, mirostat_step
+from decodekit.core import Rng, TokenDistribution, sample
 
 SAMPLER_NAMES = ("greedy", "topk", "nucleus", "mirostat", "lts", "asts")
 
 
 class GreedySampler:
-    advances_context = False
-
     def step(self, dist: TokenDistribution, ctx, rng: Rng) -> int:
         return greedy_step(dist)
 
 
 @dataclass
-class TopKSampler:
-    k: int
-    advances_context = False
+class TruncationSampler:
+    """Draws one token from ``restrict(dist)``."""
+
+    restrict: Callable[[TokenDistribution], TokenDistribution]
 
     def step(self, dist: TokenDistribution, ctx, rng: Rng) -> int:
-        return topk_step(dist, self.k, rng)
-
-
-@dataclass
-class NucleusSampler:
-    p: float
-    advances_context = False
-
-    def step(self, dist: TokenDistribution, ctx, rng: Rng) -> int:
-        return nucleus_step(dist, self.p, rng)
+        return sample(self.restrict(dist), rng)
 
 
 @dataclass
 class MirostatSampler:
     state: MirostatState
-    advances_context = False
-
-    @classmethod
-    def fresh(cls, target_tau: float, eta: float, mu0: float | None = None):
-        return cls(MirostatState.initial(target_tau=target_tau, eta=eta, mu0=mu0))
 
     def step(self, dist: TokenDistribution, ctx, rng: Rng) -> int:
         token, self.state = mirostat_step(dist, self.state, rng)
-        return token
-
-
-@dataclass
-class LtsSampler:
-    cfg: LtsConfig
-    advances_context = False
-
-    def step(self, dist: TokenDistribution, ctx, rng: Rng) -> int:
-        token, _ = lts_step(dist, self.cfg, rng)
         return token
 
 
@@ -76,7 +52,6 @@ class AstsSampler:
     cfg: AstsConfig
     alignment: object
     relevance: object
-    advances_context = True
     breakdowns: list[ScoreBreakdown] = field(default_factory=list)
 
     def step(self, dist: TokenDistribution, ctx, rng: Rng) -> int:

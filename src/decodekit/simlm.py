@@ -91,10 +91,10 @@ def next_distribution(profile: LmProfile, ctx, vocab: Vocabulary) -> TokenDistri
 def drive(next_fn, sampler, seed: int, max_tokens: int, prompt=(), window_w: int = 8):
     """Generic decode loop shared by synthetic and replayed models.
 
-    ``next_fn(ctx, step)`` supplies each step's TokenDistribution.
-    ``sampler`` is a step adapter: ``sampler.step(dist, ctx, rng) -> token``
-    plus an ``advances_context`` flag for samplers (ASTS) that append to the
-    context themselves. The prompt seeds the context but is not part of the
+    ``next_fn(ctx, step)`` supplies each step's TokenDistribution and
+    ``sampler.step(dist, ctx, rng)`` picks the token; the loop then appends
+    the token to ``ctx`` and pushes the step entropy onto its window, for
+    every sampler. The prompt seeds the context but is not part of the
     returned sequence. Returns (token ids, per-step entropy trace).
     """
     if max_tokens < 1:
@@ -109,9 +109,8 @@ def drive(next_fn, sampler, seed: int, max_tokens: int, prompt=(), window_w: int
         dist = next_fn(ctx, step)
         h = entropy(dist)
         token = sampler.step(dist, ctx, rng)
-        if not getattr(sampler, "advances_context", False):
-            ctx.append(token)
-            ctx.push_entropy(h)
+        ctx.append(token)
+        ctx.push_entropy(h)
         tokens.append(token)
         trace.append(h)
     return tokens, trace

@@ -12,9 +12,7 @@ from decodekit.baselines import (
     greedy_step,
     mirostat_step,
     nucleus_restrict,
-    nucleus_step,
     topk_restrict,
-    topk_step,
 )
 from decodekit.core import Rng, TokenDistribution, Vocabulary, sample, surprisal
 
@@ -46,7 +44,7 @@ class TestGreedy:
 class TestTopK:
     def test_k_one_is_greedy(self, seven_dist):
         for seed in range(20):
-            assert topk_step(seven_dist, 1, Rng(seed)) == greedy_step(seven_dist)
+            assert sample(topk_restrict(seven_dist, 1), Rng(seed)) == greedy_step(seven_dist)
 
     def test_fixture_k_two(self, seven_dist):
         out = topk_restrict(seven_dist, 2)
@@ -57,7 +55,7 @@ class TestTopK:
     def test_full_k_matches_core_sample(self, seven_dist):
         assert topk_restrict(seven_dist, 7).probs == pytest.approx(seven_dist.probs, abs=1e-12)
         for seed in range(20):
-            assert topk_step(seven_dist, 7, Rng(seed)) == sample(seven_dist, Rng(seed))
+            assert sample(topk_restrict(seven_dist, 7), Rng(seed)) == sample(seven_dist, Rng(seed))
 
     def test_k_clamped_to_support(self):
         out = topk_restrict(make_dist([0.6, 0.4, 0.0]), 10)
@@ -79,8 +77,8 @@ class TestTopK:
     @given(weight_lists, st.integers(1, 64), st.integers(0, 2**31 - 1))
     def test_step_lands_in_truncated_support(self, weights, k, seed):
         dist = make_dist(weights)
-        tok = topk_step(dist, k, Rng(seed))
-        assert tok in set(topk_restrict(dist, k).support().tolist())
+        restricted = topk_restrict(dist, k)
+        assert sample(restricted, Rng(seed)) in set(restricted.support().tolist())
 
 
 class TestNucleus:
@@ -118,8 +116,8 @@ class TestNucleus:
     @given(weight_lists, st.floats(0.01, 1.0), st.integers(0, 2**31 - 1))
     def test_step_lands_in_truncated_support(self, weights, p, seed):
         dist = make_dist(weights)
-        tok = nucleus_step(dist, p, Rng(seed))
-        assert tok in set(nucleus_restrict(dist, p).support().tolist())
+        restricted = nucleus_restrict(dist, p)
+        assert sample(restricted, Rng(seed)) in set(restricted.support().tolist())
 
 
 class TestMirostat:

@@ -1,10 +1,14 @@
-"""The benchmark's traced run still finds every decodekit function it wraps.
+"""The benchmark's traced run still finds and reaches every function it wraps.
 
 ``bench/tracer.py`` names functions, methods and ``harness._open_out`` by
 (module, attribute). A rename in decodekit would only show when someone runs
-``bench/run.py --trace 1``; this test shows it in the ordinary suite.
+``bench/run.py --trace 1``; these tests show it in the ordinary suite. The
+last one also catches a truncation rule captured before the tracer patched
+its name (say, in a module-level table), whose per-layer figure would
+otherwise read 0 without an error.
 """
 
+import copy
 import importlib
 import sys
 from pathlib import Path
@@ -42,3 +46,28 @@ def test_installed_tracer_restores_every_hook(tracer):
     with tracer.Tracer().installed():
         assert all(_resolve(*hook) is not before[hook] for hook in hooks)
     assert all(_resolve(*hook) is before[hook] for hook in hooks)
+
+
+# One run per truncation rule the tracer times; each must record one call per token.
+TRUNCATION_RUNS = {
+    "baselines.topk_restrict": {"sampler": "topk"},
+    "baselines.nucleus_restrict": {"sampler": "nucleus"},
+    "baselines.mirostat_step": {"sampler": "mirostat"},
+    "lts.typical_set_band": {"sampler": "lts", "lts": {"mode": "band"}},
+    "lts.typical_set_mass": {"sampler": "lts", "lts": {"mode": "mass"}},
+}
+
+
+def test_traced_run_calls_every_truncation_rule(tracer):
+    from decodekit.harness import DEFAULTS, run_sequence
+
+    traced = tracer.Tracer()
+    with traced.installed():
+        for section in TRUNCATION_RUNS.values():
+            cfg = copy.deepcopy(DEFAULTS)
+            cfg["max_tokens"] = 4
+            cfg["sampler"] = section["sampler"]
+            cfg["lts"].update(section.get("lts", {}))
+            run_sequence(cfg, 0)
+    for name in TRUNCATION_RUNS:
+        assert traced.n_calls({name}) == 4, name

@@ -150,6 +150,16 @@ def test_readme_configuration_block_is_the_defaults(tmp_path, monkeypatch):
     assert json.loads(block) == load_config(write_config(tmp_path, {}))
 
 
+def test_readme_library_block_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace = {}
+    exec(block, namespace)
+    assert len(namespace["tokens"]) == len(namespace["entropy_trace"]) == 100
+    assert len(namespace["nucleus_tokens"]) == 100
+
+
 def test_benchmark_workload_configs_load(tmp_path, monkeypatch):
     monkeypatch.delenv("DECODE_SEED", raising=False)
     monkeypatch.syspath_prepend(str(ROOT / "bench"))

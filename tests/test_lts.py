@@ -7,13 +7,17 @@ from hypothesis import strategies as st
 
 from conftest import SEVEN_ENTROPY, SEVEN_PROBS
 from decodekit.core import Rng, TokenDistribution, Vocabulary, sample
-from decodekit.lts import (
-    LtsConfig,
-    typical_set_band,
-    typical_set_mass,
-    typicality_deviation,
-    lts_step,
-)
+from decodekit.lts import LtsConfig, _deviations, lts_restrict, typical_set_band, typical_set_mass
+
+
+def members(dist):
+    return set(dist.support().tolist())
+
+
+def deviation(dist, token_id):
+    """|surprisal - entropy| of ``token_id``, as the typical-set rules rank it."""
+    ids, surp, h = _deviations(dist)
+    return float(np.abs(surp - h)[ids.tolist().index(token_id)])
 
 
 def make_dist(weights):
@@ -54,39 +58,39 @@ class TestConfig:
 class TestDeviation:
     def test_fixture_head_token(self, seven_dist):
         # surprisal 1.7430 vs entropy 1.9186
-        assert typicality_deviation(seven_dist, 0) == pytest.approx(0.18, abs=0.005)
+        assert deviation(seven_dist, 0) == pytest.approx(0.18, abs=0.005)
 
     def test_exact_typicality_is_zero(self):
         # p = e^-H for every token of a uniform distribution
         dist = make_dist([1, 1, 1, 1])
         for i in range(4):
-            assert typicality_deviation(dist, i) == pytest.approx(0.0, abs=1e-12)
+            assert deviation(dist, i) == pytest.approx(0.0, abs=1e-12)
 
-    def test_zero_probability_rejected(self):
-        with pytest.raises(ValueError, match="t0"):
-            typicality_deviation(make_dist([0, 1]), 0)
+    def test_zero_probability_token_is_never_ranked(self):
+        ids, _, _ = _deviations(make_dist([0, 1]))
+        assert ids.tolist() == [1]
 
 
 class TestBand:
     def test_fixture_band(self, seven_dist, seven_vocab):
-        ts = typical_set_band(seven_dist, 1.74, 2.10)
-        names = {seven_vocab.tokens[i] for i in ts.member_ids}
+        d = typical_set_band(seven_dist, 1.74, 2.10)
+        names = {seven_vocab.tokens[i] for i in members(d)}
         assert names == {"analyze", "optimize", "function", "tasks"}
 
     def test_full_band_is_identity(self, seven_dist):
-        ts = typical_set_band(seven_dist, 0.0, np.inf)
-        assert ts.member_ids == frozenset(range(7))
-        assert ts.renormalized.probs == pytest.approx(seven_dist.probs, abs=1e-12)
+        d = typical_set_band(seven_dist, 0.0, np.inf)
+        assert members(d) == set(range(7))
+        assert d.probs == pytest.approx(seven_dist.probs, abs=1e-12)
 
     def test_empty_band_falls_back_to_min_deviation(self, seven_dist, seven_vocab):
-        ts = typical_set_band(seven_dist, 100.0, 100.0)
-        assert {seven_vocab.tokens[i] for i in ts.member_ids} == {"tasks"}
-        assert ts.renormalized.prob(seven_vocab.id_of("tasks")) == pytest.approx(1.0)
+        d = typical_set_band(seven_dist, 100.0, 100.0)
+        assert {seven_vocab.tokens[i] for i in members(d)} == {"tasks"}
+        assert d.prob(seven_vocab.id_of("tasks")) == pytest.approx(1.0)
 
     def test_fallback_tie_takes_lowest_id(self):
         # Uniform: every deviation is exactly 0, so the tie spans all ids.
-        ts = typical_set_band(make_dist([1, 1, 1]), 100.0, 100.0)
-        assert ts.member_ids == frozenset({0})
+        d = typical_set_band(make_dist([1, 1, 1]), 100.0, 100.0)
+        assert members(d) == {0}
 
     def test_inverted_bounds_error(self, seven_dist):
         with pytest.raises(ValueError, match="alpha"):
@@ -104,20 +108,19 @@ class TestBand:
         # the inner band came up empty but the outer did not.
         inner_raw = {int(i) for i in dist.support() if a1 <= -np.log(dist.prob(int(i))) <= b1}
         if inner_raw:
-            assert inner.member_ids <= outer.member_ids
+            assert members(inner) <= members(outer)
 
 
 class TestMass:
     def test_tau_one_keeps_entire_support(self, seven_dist):
-        ts = typical_set_mass(seven_dist, 1.0)
-        assert ts.member_ids == frozenset(range(7))
+        d = typical_set_mass(seven_dist, 1.0)
+        assert members(d) == set(range(7))
 
     def test_fixture_tau_point_two(self, seven_dist, seven_vocab):
         # prefix {tasks} has mass 0.165 < 0.2, so function joins: mass 0.335
-        ts = typical_set_mass(seven_dist, 0.2)
-        names = {seven_vocab.tokens[i] for i in ts.member_ids}
+        renorm = typical_set_mass(seven_dist, 0.2)
+        names = {seven_vocab.tokens[i] for i in members(renorm)}
         assert names == {"tasks", "function"}
-        renorm = ts.renormalized
         assert renorm.prob(seven_vocab.id_of("tasks")) == pytest.approx(0.165 / 0.335, abs=1e-9)
         assert renorm.prob(seven_vocab.id_of("function")) == pytest.approx(0.170 / 0.335, abs=1e-9)
 
@@ -125,8 +128,8 @@ class TestMass:
         # Growing tau must admit tokens in hand-computed deviation order.
         seen = []
         for tau in (0.16, 0.33, 0.5, 0.67, 0.8, 0.9, 1.0):
-            ts = typical_set_mass(seven_dist, tau)
-            names = [seven_vocab.tokens[i] for i in ts.member_ids]
+            d = typical_set_mass(seven_dist, tau)
+            names = [seven_vocab.tokens[i] for i in members(d)]
             assert set(names) == set(FIXTURE_DEVIATION_ORDER[: len(names)])
             seen.append(len(names))
         assert seen == [1, 2, 3, 4, 5, 6, 7]
@@ -134,12 +137,12 @@ class TestMass:
     def test_one_hot_any_tau(self):
         dist = make_dist([0, 1, 0])
         for tau in (0.01, 0.5, 1.0):
-            assert typical_set_mass(dist, tau).member_ids == frozenset({1})
+            assert members(typical_set_mass(dist, tau)) == {1}
 
     def test_tie_broken_by_ascending_id(self):
         # All four deviations are zero; tau 0.3 needs two quarter-mass tokens.
-        ts = typical_set_mass(make_dist([1, 1, 1, 1]), 0.3)
-        assert ts.member_ids == frozenset({0, 1})
+        d = typical_set_mass(make_dist([1, 1, 1, 1]), 0.3)
+        assert members(d) == {0, 1}
 
     def test_tau_out_of_range(self, seven_dist):
         with pytest.raises(ValueError):
@@ -151,16 +154,16 @@ class TestMass:
     def test_mass_monotone(self, weights, tau_a, tau_b):
         dist = make_dist(weights)
         lo, hi = sorted((tau_a, tau_b))
-        assert typical_set_mass(dist, lo).member_ids <= typical_set_mass(dist, hi).member_ids
+        assert members(typical_set_mass(dist, lo)) <= members(typical_set_mass(dist, hi))
 
     @given(weight_lists, st.floats(0.01, 1.0))
     def test_renormalized_proportional_to_original(self, weights, tau):
         # Brute-force proportionality check per member.
         dist = make_dist(weights)
-        ts = typical_set_mass(dist, tau)
-        total = sum(dist.prob(i) for i in ts.member_ids)
-        for i in ts.member_ids:
-            assert ts.renormalized.prob(i) == pytest.approx(dist.prob(i) / total, abs=1e-9)
+        d = typical_set_mass(dist, tau)
+        total = sum(dist.prob(i) for i in members(d))
+        for i in members(d):
+            assert d.prob(i) == pytest.approx(dist.prob(i) / total, abs=1e-9)
 
 
 class TestStep:
@@ -168,9 +171,9 @@ class TestStep:
         cfg = LtsConfig(mode="band", epsilon=100.0)
         for seed in range(30):
             direct = sample(seven_dist, Rng(seed))
-            via_lts, ts = lts_step(seven_dist, cfg, Rng(seed))
-            assert via_lts == direct
-            assert ts.member_ids == frozenset(range(7))
+            d = lts_restrict(seven_dist, cfg)
+            assert sample(d, Rng(seed)) == direct
+            assert members(d) == set(range(7))
 
     def test_mass_mode_draws_only_members(self, seven_dist, seven_vocab):
         cfg = LtsConfig(mode="mass", tau_mass=0.2)
@@ -178,8 +181,9 @@ class TestStep:
         allowed = {seven_vocab.id_of("tasks"), seven_vocab.id_of("function")}
         counts = {i: 0 for i in allowed}
         for _ in range(5000):
-            tok, ts = lts_step(seven_dist, cfg, rng)
-            assert ts.member_ids == frozenset(allowed)
+            d = lts_restrict(seven_dist, cfg)
+            tok = sample(d, rng)
+            assert members(d) == allowed
             assert tok in allowed
             counts[tok] += 1
         # loose frequency check; the 100k-draw version is in the acceptance suite
@@ -187,12 +191,12 @@ class TestStep:
 
     def test_one_hot(self):
         dist = make_dist([0, 0, 1])
-        tok, ts = lts_step(dist, LtsConfig(), Rng(0))
-        assert tok == 2
-        assert ts.member_ids == frozenset({2})
+        d = lts_restrict(dist, LtsConfig())
+        assert sample(d, Rng(0)) == 2
+        assert members(d) == {2}
 
     @given(weight_lists, st.integers(0, 2**32 - 1), st.floats(0.05, 1.0))
     def test_sampled_token_is_member(self, weights, seed, tau):
         dist = make_dist(weights)
-        tok, ts = lts_step(dist, LtsConfig(mode="mass", tau_mass=tau), Rng(seed))
-        assert tok in ts.member_ids
+        d = lts_restrict(dist, LtsConfig(mode="mass", tau_mass=tau))
+        assert sample(d, Rng(seed)) in members(d)

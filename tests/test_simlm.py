@@ -1,22 +1,21 @@
 """Synthetic LM profiles and the shared decode loop."""
 
+import copy
+from collections import Counter
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from decodekit.asts import AstsConfig, ConstantScores
+from decodekit.baselines import MirostatState, nucleus_restrict, topk_restrict
 from decodekit.core import Rng, default_vocabulary, entropy
-from decodekit.lts import LtsConfig
-from decodekit.samplers import (
-    AstsSampler,
-    GreedySampler,
-    LtsSampler,
-    MirostatSampler,
-    NucleusSampler,
-    TopKSampler,
-)
-from decodekit.simlm import KINDS, LmProfile, generate, next_distribution
+from decodekit.harness import DEFAULTS, build_sampler
+from decodekit.lts import LtsConfig, lts_restrict
+from decodekit.samplers import SAMPLER_NAMES, AstsSampler, GreedySampler, MirostatSampler, TruncationSampler
+from decodekit.simlm import KINDS, LmProfile, drive, generate, next_distribution
 
 VOCAB = default_vocabulary(32)
 
@@ -116,10 +115,10 @@ class TestGenerate:
         profile = LmProfile(kind="mixed", seed=3)
         samplers = [
             GreedySampler(),
-            TopKSampler(k=5),
-            NucleusSampler(p=0.9),
-            MirostatSampler.fresh(target_tau=3.0, eta=0.1),
-            LtsSampler(LtsConfig()),
+            TruncationSampler(partial(topk_restrict, k=5)),
+            TruncationSampler(partial(nucleus_restrict, p=0.9)),
+            MirostatSampler(MirostatState.initial(target_tau=3.0, eta=0.1)),
+            TruncationSampler(partial(lts_restrict, cfg=LtsConfig())),
             AstsSampler(AstsConfig(), ConstantScores(), ConstantScores()),
         ]
         for make in samplers:
@@ -129,8 +128,9 @@ class TestGenerate:
 
     def test_different_seeds_differ(self):
         profile = LmProfile(kind="flat", base_temperature=10.0, seed=3)
-        a, _ = generate(profile, NucleusSampler(p=0.95), VOCAB, seed=1, max_tokens=30)
-        b, _ = generate(profile, NucleusSampler(p=0.95), VOCAB, seed=2, max_tokens=30)
+        nucleus = TruncationSampler(partial(nucleus_restrict, p=0.95))
+        a, _ = generate(profile, nucleus, VOCAB, seed=1, max_tokens=30)
+        b, _ = generate(profile, nucleus, VOCAB, seed=2, max_tokens=30)
         assert a != b
 
     def test_prompt_seeds_context_but_not_output(self):
@@ -157,10 +157,30 @@ class TestGenerate:
         assert [b.chosen_id for b in sampler.breakdowns] == tokens
 
 
+@pytest.mark.parametrize("name", SAMPLER_NAMES)
+def test_drive_keeps_the_context_for_every_sampler(name):
+    sampler = build_sampler({**copy.deepcopy(DEFAULTS), "sampler": name}, VOCAB)
+    profile = LmProfile(kind="mixed", seed=5)
+    prompt = (3, 1, 4)
+    seen = []
+
+    def next_fn(ctx, step):
+        seen.append((ctx, len(ctx.history)))
+        return next_distribution(profile, ctx, VOCAB)
+
+    tokens, trace = drive(next_fn, sampler, seed=2, max_tokens=12, prompt=prompt, window_w=5)
+    ctx = seen[0][0]
+    assert all(c is ctx for c, _ in seen)
+    assert [n for _, n in seen] == [len(prompt) + step for step in range(12)]
+    assert ctx.history == [*prompt, *tokens]
+    assert ctx.freq == Counter(ctx.history)
+    assert list(ctx.entropy_window) == trace[-5:]
+
+
 def _fresh(sampler):
     """Stateful samplers cannot be reused across runs; rebuild them."""
     if isinstance(sampler, MirostatSampler):
-        return MirostatSampler.fresh(target_tau=3.0, eta=0.1)
+        return MirostatSampler(MirostatState.initial(target_tau=3.0, eta=0.1))
     if isinstance(sampler, AstsSampler):
         return AstsSampler(AstsConfig(), ConstantScores(), ConstantScores())
     return sampler
