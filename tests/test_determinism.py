@@ -45,8 +45,8 @@ MECHANISM = {
     },
 }
 
-# Greedy, top-k, nucleus and LTS band on a mixed model, at a small and a
-# large vocabulary, each sequence continuing a prompt.
+# Greedy, top-k, nucleus, LTS band and mass, and Mirostat on a mixed model,
+# at a small and a large vocabulary, each sequence continuing a prompt.
 TRUNCATION = {
     "seed": 3,
     "max_tokens": 24,
@@ -57,7 +57,15 @@ TRUNCATION = {
     "nucleus": {"p": 0.9},
     "lts": {"mode": "band", "epsilon": 0.5},
 }
-TRUNCATION_SAMPLERS = {"greedy": "greedy", "topk": "topk", "nucleus": "nucleus", "lts_band": "lts"}
+# case name -> the config entries that select its sampler
+TRUNCATION_SAMPLERS = {
+    "greedy": {"sampler": "greedy"},
+    "topk": {"sampler": "topk"},
+    "nucleus": {"sampler": "nucleus"},
+    "lts_band": {"sampler": "lts"},
+    "lts_mass": {"sampler": "lts", "lts": {"mode": "mass", "tau_mass": 0.95}},
+    "mirostat": {"sampler": "mirostat"},
+}
 
 # case -> (corpus sha256, audit sha256 or None when the run writes no audit)
 DIGESTS = {
@@ -83,6 +91,8 @@ DIGESTS = {
     "nucleus_v4096": ("caf168809b49ad20de1adaa37668003df883efc2ee9961d1dec9c435d7537bc6", None),
     "lts_band_v256": ("84a65a2761a9e25b142d3e26bce32bf17bcbf96e3c1e3af330c7fdf091de1b32", None),
     "lts_band_v4096": ("9a67adaeb046bcb4a16a2aaafffdcaf3013411c3b52fd5c507f63b514318e0d3", None),
+    "lts_mass_v4096": ("12bc6b2befcf77de149440fdc61e3d3542635c3f4ecab763bc7a0d5563eafd1e", None),
+    "mirostat_v4096": ("ae6d370b2dfba086eee52eb44ee99f6f8990fe3c27695f0a6f732ac05db84a50", None),
 }
 
 
@@ -90,7 +100,7 @@ def _case_config(case: str) -> dict:
     name, _, vocab = case.rpartition("_v")
     if name in TRUNCATION_SAMPLERS:
         cfg = json.loads(json.dumps(TRUNCATION))
-        cfg["sampler"] = TRUNCATION_SAMPLERS[name]
+        cfg.update(TRUNCATION_SAMPLERS[name])
         cfg["model"]["synthetic"]["vocab_size"] = int(vocab)
         return cfg
     if case.startswith("mechanism_mu3_"):
