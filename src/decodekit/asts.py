@@ -40,7 +40,7 @@ from decodekit.core import (
     temperature_scale,
 )
 from decodekit.embed import EmbeddingTable, pool_rows
-from decodekit.lts import band_ids
+from decodekit.lts import band_mask
 
 ADJUST_FORMS = ("example", "eq13")
 
@@ -396,7 +396,8 @@ def asts_step(
     h = entropy(dist)
     sigma = sigma_entropy(ctx.entropy_window, cfg.sigma_prior)
     alpha, beta = dynamic_thresholds(h, sigma, cfg.k1, cfg.k2)
-    ids = band_ids(dist, alpha, beta)
+    band = band_mask(dist, alpha, beta)
+    ids = np.flatnonzero(band)
     candidate_ids = ids.tolist()
 
     p_in = dist.probs[ids]
@@ -432,8 +433,8 @@ def asts_step(
     adjusted = p_in * np.exp(exponent)
     stable = np.zeros(len(vocab), dtype=np.float64)
     stable[ids] = p_in * np.exp(exponent - exponent.max())
-    normalized = normalize(vocab, stable, support=ids)
-    final = temperature_scale(normalized, cfg.temperature, support=ids)
+    normalized = normalize(vocab, stable, support=band)
+    final = temperature_scale(normalized, cfg.temperature, support=band)
     token = sample(final, rng)
 
     columns = dict(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from decodekit.core import Rng, TokenDistribution, mass_prefix, normalize, sample, surprisal
+from decodekit.core import Rng, TokenDistribution, mass_count, restrict, sample, surprisal, top_mask
 
 
 def greedy_step(dist: TokenDistribution) -> int:
@@ -22,26 +22,24 @@ def greedy_step(dist: TokenDistribution) -> int:
     return int(np.argmax(dist.probs))
 
 
-def _by_probability(dist: TokenDistribution) -> np.ndarray:
-    """Positive-support ids ordered by descending probability, ties by id."""
-    ids = dist.support()
-    order = np.lexsort((ids, -dist.probs[ids]))
-    return ids[order]
-
-
 def topk_restrict(dist: TokenDistribution, k: int) -> TokenDistribution:
-    """Renormalise over the k most probable tokens (clamped to the support)."""
+    """Renormalise over the k most probable tokens (clamped to the support), ties to the lowest id."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return normalize(dist.vocab, dist.probs, support=_by_probability(dist)[:k])
+    return restrict(dist, top_mask(dist, k))
 
 
 def nucleus_restrict(dist: TokenDistribution, p: float) -> TokenDistribution:
-    """Smallest probability-descending prefix with cumulative mass >= p."""
+    """Smallest probability-descending prefix with cumulative mass >= p, ties to the lowest id.
+
+    Tied probabilities give the same cumulative sums in any order, so the
+    prefix length comes from the sorted values alone; zeros sort last and
+    add nothing to the sums.
+    """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"nucleus p must lie in (0, 1], got {p}")
-    keep = mass_prefix(dist, _by_probability(dist), p)
-    return normalize(dist.vocab, dist.probs, support=keep)
+    descending = np.sort(dist.probs)[::-1]
+    return restrict(dist, top_mask(dist, mass_count(descending, p)))
 
 
 @dataclass(frozen=True)
@@ -72,11 +70,11 @@ def mirostat_step(dist: TokenDistribution, state: MirostatState, rng: Rng) -> tu
     original distribution feeds the update mu <- mu - eta*(s - target_tau).
     """
     ids = dist.support()
-    surp = -np.log(dist.probs[ids])
-    keep = ids[surp <= state.mu]
-    if keep.size == 0:
-        keep = np.array([greedy_step(dist)])
-    token = sample(normalize(dist.vocab, dist.probs, support=keep), rng)
+    keep = np.zeros(len(dist), dtype=bool)
+    keep[ids] = -np.log(dist.probs[ids]) <= state.mu
+    if not keep.any():
+        keep[greedy_step(dist)] = True
+    token = sample(restrict(dist, keep), rng)
     s = surprisal(dist, token)
     new_state = replace(state, mu=state.mu - state.eta * (s - state.target_tau))
     return token, new_state

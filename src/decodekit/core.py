@@ -3,6 +3,19 @@
 All information quantities use natural logarithms (nats). Probabilities
 below ``ENTROPY_FLOOR`` are treated as exact zeros inside entropy sums so
 that renormalised tail noise cannot inject spurious -p*log(p) terms.
+
+Truncation rules keep a boolean mask of tokens and renormalise with
+``restrict``. Two rules keep their output bit-identical to ranking the
+whole support with a stable sort:
+
+- The renormalising total is always the dense ``sum()`` of the masked
+  probability vector, never ``probs[ids].sum()``: numpy sums pairwise, so a
+  total over the kept ids alone can differ in the last bit.
+- Ties go to the lowest token id. ``top_mask`` finds the n-th largest
+  probability with ``np.partition`` and fills its remaining places from the
+  tokens equal to it in ascending id order; a rank by any other key (LTS
+  mass) uses an unstable sort and falls back to a stable one only when two
+  adjacent sorted keys are equal.
 """
 
 from __future__ import annotations
@@ -192,10 +205,39 @@ def normalize(vocab: Vocabulary, weights, support=None) -> TokenDistribution:
     return TokenDistribution._checked_by_caller(vocab, w / total)
 
 
-def mass_prefix(dist: TokenDistribution, ranked: np.ndarray, mass: float) -> np.ndarray:
-    """Shortest prefix of the ranked ids ``ranked`` whose probability reaches ``mass``."""
-    cum = np.cumsum(dist.probs[ranked])
-    return ranked[: int(np.searchsorted(cum, mass, side="left")) + 1]
+def restrict(dist: TokenDistribution, keep: np.ndarray) -> TokenDistribution:
+    """``dist`` renormalised over the tokens the boolean mask ``keep`` selects.
+
+    ``dist`` is already validated, so unlike ``normalize`` this makes no
+    finiteness or sign check. ``keep`` must select a token of positive
+    probability.
+    """
+    w = np.where(keep, dist.probs, 0.0)
+    return TokenDistribution._checked_by_caller(dist.vocab, w / w.sum())
+
+
+def top_mask(dist: TokenDistribution, n: int) -> np.ndarray:
+    """Mask of the ``n >= 1`` most probable tokens, ties to the lowest id.
+
+    Fewer than ``n`` tokens of positive probability are all kept.
+    """
+    p = dist.probs
+    pos = p.size - min(n, p.size)
+    cut = np.partition(p, pos)[pos]
+    if cut <= 0.0:
+        return p > 0.0
+    keep = p > cut
+    keep[np.flatnonzero(p == cut)[: n - np.count_nonzero(keep)]] = True
+    return keep
+
+
+def mass_count(ranked: np.ndarray, mass: float) -> int:
+    """Length of the shortest prefix of the probabilities ``ranked`` whose sum reaches ``mass``.
+
+    Never less than 1; one more than ``ranked.size`` when the whole sum falls
+    short of ``mass``.
+    """
+    return int(np.searchsorted(np.cumsum(ranked), mass, side="left")) + 1
 
 
 def temperature_scale(dist: TokenDistribution, temperature: float, support=None) -> TokenDistribution:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from decodekit.core import TokenDistribution, entropy, mass_prefix, normalize
+from decodekit.core import TokenDistribution, entropy, mass_count, restrict
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,8 @@ def _deviations(dist: TokenDistribution) -> tuple[np.ndarray, np.ndarray, float]
     return ids, surp, entropy(dist)
 
 
-def band_ids(dist: TokenDistribution, alpha: float, beta: float) -> np.ndarray:
-    """Ascending ids of the tokens with surprisal in [alpha, beta].
+def band_mask(dist: TokenDistribution, alpha: float, beta: float) -> np.ndarray:
+    """Mask of the tokens with surprisal in [alpha, beta].
 
     An empty band falls back to the singleton of minimal typicality
     deviation (ties broken by lowest token id) so downstream samplers
@@ -53,29 +53,42 @@ def band_ids(dist: TokenDistribution, alpha: float, beta: float) -> np.ndarray:
     if alpha > beta:
         raise ValueError(f"band bounds out of order: alpha={alpha} > beta={beta}")
     ids, surp, h = _deviations(dist)
-    inside = ids[(surp >= alpha) & (surp <= beta)]
-    if inside.size == 0:
-        dev = np.abs(surp - h)
-        inside = ids[np.argmin(dev)][None]  # argmin returns the lowest id on ties
-    return inside
+    inside = (surp >= alpha) & (surp <= beta)
+    keep = np.zeros(len(dist), dtype=bool)
+    if inside.any():
+        keep[ids] = inside
+    else:
+        keep[ids[np.argmin(np.abs(surp - h))]] = True  # argmin returns the lowest id on ties
+    return keep
 
 
 def typical_set_band(dist: TokenDistribution, alpha: float, beta: float) -> TokenDistribution:
-    """The ``band_ids`` set, renormalised."""
-    return normalize(dist.vocab, dist.probs, support=band_ids(dist, alpha, beta))
+    """The ``band_mask`` set, renormalised."""
+    return restrict(dist, band_mask(dist, alpha, beta))
 
 
 def typical_set_mass(dist: TokenDistribution, tau: float) -> TokenDistribution:
     """Smallest deviation-ranked prefix reaching cumulative probability tau, renormalised.
 
     Ranking is by ascending |surprisal - entropy| with ties broken by
-    ascending token id, so the construction is deterministic.
+    ascending token id, so the construction is deterministic. The ranking
+    uses an unstable sort unless two deviations are equal, and then a stable
+    one: tied tokens can carry different probabilities (h - d and h + d), and
+    their order decides both the cumulative sums and which of them make the
+    cut.
     """
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must lie in (0, 1], got {tau}")
     ids, surp, h = _deviations(dist)
-    order = np.lexsort((ids, np.abs(surp - h)))  # primary key deviation, secondary token id
-    return normalize(dist.vocab, dist.probs, support=mass_prefix(dist, ids[order], tau))
+    dev = np.abs(surp - h)
+    order = np.argsort(dev)
+    ranked = dev[order]
+    if np.any(ranked[1:] == ranked[:-1]):
+        order = np.argsort(dev, kind="stable")  # ids ascend, so ties keep id order
+    ranked_ids = ids[order]
+    keep = np.zeros(len(dist), dtype=bool)
+    keep[ranked_ids[: mass_count(dist.probs[ranked_ids], tau)]] = True
+    return restrict(dist, keep)
 
 
 def lts_restrict(dist: TokenDistribution, cfg: LtsConfig) -> TokenDistribution:
