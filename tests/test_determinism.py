@@ -3,18 +3,21 @@ truncation samplers that no shipped config runs.
 
 Each case runs ``cmd_generate`` on a fixed config and compares the SHA-256
 of the corpus (and, for ASTS runs, of the ``--audit`` file) with a digest
-recorded from an earlier commit. A refactor that keeps behaviour keeps
-every digest; a change that moves one is a behaviour change and must be
-argued on its own.
+recorded from an earlier commit. The report cases then score a generated
+corpus with ``cmd_metrics --config`` (same config, so the generating model
+scores it) and pin the report file, ``ppl`` included. A refactor that
+keeps behaviour keeps every digest; a change that moves one is a behaviour
+change and must be argued on its own.
 """
 
 import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from decodekit.harness import cmd_generate
+from decodekit.harness import cmd_generate, cmd_metrics
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -96,7 +99,37 @@ DIGESTS = {
 }
 
 
-def _case_config(case: str) -> dict:
+# case -> (reference case or None, report sha256). "replay" is a file: model.
+REPORT_DIGESTS = {
+    "generate_asts": (None, "8ea0e7345aba57b8543daecdb60eb274d33ccd378b2ab8f4a3ad2a064777f249"),
+    "generate_lts": (None, "ad7fd7016c1aea565707b4493e9af785fe0bde35987abaab069c6ca9a74b98e0"),
+    "sweep_mirostat": (None, "2fe40ba8a7abe36b1e972deaae4bd6da373c52c3138369ef483547bab07b5bdf"),
+    "mechanism_mu3_0.5": (None, "912de2086dcf9909dcb7789406a2a78d3d1be6d242fa0381869ac1532b816892"),
+    "nucleus_v4096": ("greedy_v4096", "368af24ed2d349c27f368b020216250f391e486965f2fc974712dfce60efb505"),
+    "replay": ("replay_greedy", "26155225f53ea6da7ba65cc5014acd7cffc099b3d617e91ebf25100bf4706659"),
+}
+
+
+def _replay_config(tmp_path: Path, sampler: str) -> dict:
+    """An LTS or greedy run on a 48-token model replaying 12 random rows."""
+    replay = tmp_path / "replay_model.json"
+    rows = np.random.default_rng(5).random((12, 48))
+    rows[:, 1] = 0.0  # a token no row can emit
+    replay.write_text(
+        json.dumps({"tokens": [f"w{i}" for i in range(48)], "steps": rows.tolist()}), encoding="utf-8"
+    )
+    return {
+        "seed": 2,
+        "max_tokens": 30,
+        "num_sequences": 3,
+        "sampler": sampler,
+        "model": {"selector": f"file:{replay}"},
+    }
+
+
+def _case_config(case: str, tmp_path: Path) -> dict:
+    if case.startswith("replay"):
+        return _replay_config(tmp_path, "greedy" if case == "replay_greedy" else "lts")
     name, _, vocab = case.rpartition("_v")
     if name in TRUNCATION_SAMPLERS:
         cfg = json.loads(json.dumps(TRUNCATION))
@@ -114,19 +147,38 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _generate(tmp_path: Path, case: str, audit: Path | None = None) -> tuple[Path, Path]:
+    """Run ``cmd_generate`` for ``case``; returns (config path, corpus path)."""
+    cfg = _case_config(case, tmp_path)
+    corpus = tmp_path / f"{case}.jsonl"
+    cfg["output"] = {"corpus": str(corpus)}
+    cfg_path = tmp_path / f"{case}.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    cmd_generate(cfg_path, audit_path=audit)
+    return cfg_path, corpus
+
+
 @pytest.mark.parametrize("case", sorted(DIGESTS))
 def test_output_digest(tmp_path, monkeypatch, case):
     monkeypatch.delenv("DECODE_SEED", raising=False)
-    cfg = _case_config(case)
-    corpus = tmp_path / "corpus.jsonl"
-    cfg["output"] = {"corpus": str(corpus)}
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
     want_corpus, want_audit = DIGESTS[case]
     audit = tmp_path / "audit.jsonl" if want_audit is not None else None
 
-    cmd_generate(cfg_path, audit_path=audit)
+    _, corpus = _generate(tmp_path, case, audit)
 
     assert _sha256(corpus) == want_corpus
     if audit is not None:
         assert _sha256(audit) == want_audit
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_DIGESTS))
+def test_report_digest(tmp_path, monkeypatch, case):
+    monkeypatch.delenv("DECODE_SEED", raising=False)
+    reference_case, want = REPORT_DIGESTS[case]
+    cfg_path, corpus = _generate(tmp_path, case)
+    reference = _generate(tmp_path, reference_case)[1] if reference_case is not None else None
+    report = tmp_path / "report.json"
+
+    cmd_metrics(corpus, reference_path=reference, out_path=report, config_path=cfg_path)
+
+    assert _sha256(report) == want
