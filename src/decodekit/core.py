@@ -46,9 +46,10 @@ class Vocabulary:
     def __post_init__(self) -> None:
         if len(self.tokens) == 0:
             raise ValueError("vocabulary must contain at least one token")
-        if len(set(self.tokens)) != len(self.tokens):
+        index = dict(zip(self.tokens, range(len(self.tokens))))
+        if len(index) != len(self.tokens):
             raise ValueError("vocabulary tokens must be unique")
-        object.__setattr__(self, "index", {t: i for i, t in enumerate(self.tokens)})
+        object.__setattr__(self, "index", index)
 
     @classmethod
     def from_tokens(cls, tokens) -> "Vocabulary":

@@ -26,14 +26,14 @@ from functools import partial
 import numpy as np
 
 from decodekit import golden, metrics, simlm
-from decodekit.asts import AstsConfig, ConstantScores, EmbeddingAlignment, GenerationContext, KeywordRelevance
+from decodekit.asts import AstsConfig, ConstantScores, EmbeddingAlignment, KeywordRelevance
 from decodekit.baselines import MirostatState, nucleus_restrict, topk_restrict
-from decodekit.core import TokenDistribution, Vocabulary, default_vocabulary
+from decodekit.core import DistributionError, TokenDistribution, Vocabulary, default_vocabulary
 from decodekit.embed import EmbeddingFormatError, load_table, synthetic_table
 from decodekit.lts import LtsConfig, lts_restrict
 from decodekit.metrics import SequenceCorpus, UniformScorer
 from decodekit.samplers import SAMPLER_NAMES, AstsSampler, GreedySampler, MirostatSampler, TruncationSampler
-from decodekit.simlm import KINDS, LmProfile, next_distribution
+from decodekit.simlm import KINDS, LmProfile, next_distribution, token_probabilities
 
 
 class ConfigError(ValueError):
@@ -278,12 +278,23 @@ def _asts_config(cfg: dict) -> AstsConfig:
 
 
 class SyntheticModel:
+    """A synthetic profile; scores that overflow are a ConfigError on ``base_temperature``."""
+
     def __init__(self, profile: LmProfile, vocab: Vocabulary):
         self.profile = profile
         self.vocab = vocab
 
     def next(self, ctx, step: int):
-        return next_distribution(self.profile, ctx, self.vocab)
+        try:
+            return next_distribution(self.profile, ctx, self.vocab)
+        except DistributionError as exc:
+            raise ConfigError(f"model.synthetic.base_temperature: {exc}") from None
+
+    def score(self, seq) -> list[float]:
+        try:
+            return token_probabilities(self.profile, seq, len(self.vocab))
+        except DistributionError as exc:
+            raise ConfigError(f"model.synthetic.base_temperature: {exc}") from None
 
 
 class ReplayModel:
@@ -295,6 +306,10 @@ class ReplayModel:
 
     def next(self, ctx, step: int):
         return TokenDistribution(self.vocab, self.rows[step % len(self.rows)])
+
+    def score(self, seq) -> list[float]:
+        """Position ``i`` scored under row ``i``, as ``next`` steps through them."""
+        return [float(self.rows[i % len(self.rows), t]) for i, t in enumerate(seq)]
 
 
 def _load_replay_model(path: str) -> ReplayModel:
@@ -542,24 +557,12 @@ def _metric_value(cfg: dict, metric: str, records: list[dict], model) -> float:
         if metric == "zipf":
             return metrics.zipf_coefficient(corpus, **cfg["zipf"])
         if metric == "ppl":
-            return metrics.perplexity(corpus, _model_scorer(model))
+            return metrics.perplexity(corpus, model.score)
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise MetricError(str(exc)) from None
     raise ConfigError(f"metric: unknown metric {metric!r}, expected one of {METRIC_NAMES}")
-
-
-def _model_scorer(model):
-    """Score a sequence position-by-position under ``model`` (fresh context)."""
-
-    def score(seq):
-        ctx = GenerationContext(window_w=8)
-        out = []
-        for step, t in enumerate(seq):
-            out.append(model.next(ctx, step).prob(int(t)))
-            ctx.append(int(t))
-        return out
-
-    return score
 
 
 @dataclass(frozen=True)
@@ -654,8 +657,8 @@ def cmd_metrics(
 
     Without a config, sequences are scored by a uniform scorer over the
     observed vocabulary (a degenerate but dependency-free perplexity).
-    With ``--config``, the configured model scores both corpora, which is
-    how generator-vs-independent-model perplexity comparisons are run.
+    With ``--config``, the configured model's ``score`` scores both corpora,
+    which is how generator-vs-independent-model perplexity comparisons are run.
     """
     if fmt not in ("jsonl", "text"):
         raise ConfigError(f"format: must be 'jsonl' or 'text', got {fmt!r}")
@@ -667,7 +670,7 @@ def cmd_metrics(
         cfg = load_config(config_path)
         model = build_model(cfg)
         vocab = model.vocab
-        scorer = _model_scorer(model)
+        scorer = model.score
         zipf = cfg["zipf"]
     else:
         seen = sorted({t for seq in gen_tokens for t in seq} | {t for seq in (ref_tokens or []) for t in seq})
@@ -684,6 +687,8 @@ def cmd_metrics(
         rep = metrics.report(
             generated, scorer, reference, zipf_min_rank=zipf["min_rank"], zipf_max_rank=zipf["max_rank"]
         )
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise MetricError(str(exc)) from None
     if out_path is not None:

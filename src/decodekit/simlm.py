@@ -18,6 +18,13 @@ Profile kinds:
 * ``loop_prone``: tokens seen in the trailing ``recency_window`` get their
   scores multiplied by ``loop_gamma`` (>= 1) before the softmax, biasing
   the source toward degenerate repetition loops.
+
+Generation and scoring share one kernel, ``_weights`` (``w = exp(z - max z)``),
+and divide by ``w.sum()``. Its one O(1) check, a finite ``max z``, is all the
+validation the output needs: every ``w`` then lies in [0, 1] with one entry
+exactly 1, so ``w / w.sum()`` is finite, nonnegative and sums to 1 within
+about V ulps. NaN, +inf and all -inf fail it, as they fail the checked
+``TokenDistribution`` constructor.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from decodekit.core import Rng, TokenDistribution, Vocabulary, entropy
+from decodekit.core import DistributionError, Rng, TokenDistribution, Vocabulary, entropy
 from decodekit.asts import GenerationContext
 
 KINDS = ("peaked", "flat", "mixed", "loop_prone")
@@ -58,20 +65,15 @@ class LmProfile:
 
 
 def _context_digest(profile: LmProfile, suffix: tuple[int, ...]) -> bytes:
-    payload = str(profile.seed).encode() + b"|" + b",".join(str(t).encode() for t in suffix)
+    payload = f"{profile.seed}|{','.join(map(str, suffix))}".encode()
     return hashlib.blake2b(payload, digest_size=16).digest()
 
 
-def next_distribution(profile: LmProfile, ctx, vocab: Vocabulary) -> TokenDistribution:
-    """Next-token distribution given the history in ``ctx``.
-
-    ``ctx`` may be a GenerationContext or any sequence of token ids.
-    """
-    history = list(getattr(ctx, "history", ctx))
-    suffix = tuple(history[-profile.recency_window :])
+def _weights(profile: LmProfile, suffix: tuple[int, ...], size: int) -> np.ndarray:
+    """Unnormalised softmax weights ``exp(z - max z)`` of the step after ``suffix``."""
     digest = _context_digest(profile, suffix)
     gen = np.random.Generator(np.random.PCG64(int.from_bytes(digest[:8], "little")))
-    scores = gen.standard_normal(len(vocab))
+    scores = gen.standard_normal(size)
 
     temperature = profile.base_temperature
     if profile.kind == "mixed":
@@ -79,13 +81,30 @@ def next_distribution(profile: LmProfile, ctx, vocab: Vocabulary) -> TokenDistri
     if profile.kind == "loop_prone" and suffix:
         # Recency boost: multiplying a (positive) exp-score by gamma is the
         # same as adding ln(gamma) to the raw score.
-        recent = np.array(sorted(set(suffix)), dtype=np.int64)
-        scores = scores.copy()
-        scores[recent] += math.log(profile.loop_gamma)
+        scores[list(set(suffix))] += math.log(profile.loop_gamma)
 
     z = scores / temperature
-    w = np.exp(z - z.max())
-    return TokenDistribution(vocab, w / w.sum())
+    top = z.max()
+    if not math.isfinite(top):
+        raise DistributionError(f"scores overflow at base_temperature {profile.base_temperature!r}")
+    return np.exp(z - top)
+
+
+def next_distribution(profile: LmProfile, ctx, vocab: Vocabulary) -> TokenDistribution:
+    """Next-token distribution after ``ctx``, a GenerationContext or a sliceable id sequence."""
+    history = getattr(ctx, "history", ctx)
+    w = _weights(profile, tuple(history[-profile.recency_window :]), len(vocab))
+    return TokenDistribution._checked_by_caller(vocab, w / w.sum())
+
+
+def token_probabilities(profile: LmProfile, seq, size: int) -> list[float]:
+    """``next_distribution(profile, seq[:i], vocab).prob(seq[i])`` for every i, bit for bit."""
+    seq, r = tuple(seq), profile.recency_window
+    out = []
+    for i, t in enumerate(seq):
+        w = _weights(profile, seq[max(0, i - r) : i], size)
+        out.append(float(w[t] / w.sum()))
+    return out
 
 
 def drive(next_fn, sampler, seed: int, max_tokens: int, prompt=(), window_w: int = 8):

@@ -27,6 +27,21 @@ def run_config(tmp_path):
     )
 
 
+def tiny_temperature_config(tmp_path, workers=1):
+    """A peaked model whose scores overflow: base_temperature far below any score scale."""
+    return write_json(
+        tmp_path / "tiny.json",
+        {
+            "sampler": "greedy",
+            "max_tokens": 4,
+            "num_sequences": 2,
+            "workers": workers,
+            "model": {"selector": "synthetic:peaked", "synthetic": {"vocab_size": 16, "base_temperature": 1e-310}},
+            "output": {"corpus": str(tmp_path / "out.jsonl")},
+        },
+    )
+
+
 class TestGenerateCommand:
     def test_success_exit_zero(self, tmp_path, run_config):
         assert main(["generate", "--config", run_config]) == 0
@@ -93,6 +108,12 @@ class TestGenerateCommand:
         assert "header fields must be integers" in capsys.readouterr().err
         assert not (tmp_path / "out.jsonl").exists()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_overflowing_base_temperature_exit_two(self, tmp_path, capsys, workers):
+        assert main(["generate", "--config", tiny_temperature_config(tmp_path, workers)]) == 2
+        assert "config error: model.synthetic.base_temperature" in capsys.readouterr().err
+        assert not (tmp_path / "out.jsonl").exists()
+
 
 class TestMetricsCommand:
     def test_generate_then_metrics(self, tmp_path, run_config):
@@ -111,6 +132,16 @@ class TestMetricsCommand:
         doc = json.loads(report.read_text(encoding="utf-8"))
         assert doc["ppl_delta"] == 0.0
         assert (tmp_path / "report.csv").exists()
+
+    def test_overflowing_base_temperature_exit_two(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"tokens": ["tok001", "tok002", "tok003"]}\n', encoding="utf-8")
+        report = tmp_path / "r.json"
+        cfg = tiny_temperature_config(tmp_path)
+        code = main(["metrics", "--generated", str(corpus), "--out", str(report), "--config", cfg])
+        assert code == 2
+        assert "config error: model.synthetic.base_temperature" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_metric_error_exit_one(self, tmp_path, capsys):
         corpus = tmp_path / "tiny.jsonl"
