@@ -6,10 +6,10 @@ core       probability primitives (distributions, entropy, sampling, RNG)
 lts        locally typical sampling (band and mass variants)
 asts       adaptive semantic-aware typicality sampling
 embed      token embeddings and cosine alignment helpers
-baselines  greedy, top-k / nucleus truncation rules, mirostat controller
-samplers   step adapters the decode loop drives (one for every truncation rule)
+baselines  greedy, top-k, nucleus and mirostat truncation rules
+samplers   rule adapters (restrict + observe) the decode loop drives
 metrics    perplexity, repetition, Zipf and n-gram diversity metrics
-simlm      deterministic synthetic language model for desk-scale runs
+simlm      synthetic language model and the decode loop, which makes every draw
 harness    JSON-config run driver shared by the CLI subcommands
 cli        argparse entry point (``decodekit generate|sweep|metrics|golden``)
 """

@@ -5,7 +5,8 @@ the recent entropy volatility selects candidates, (2) each candidate gets a
 composite score from coherence, semantic alignment and diversity, (3) a
 reward built from alignment, relevance and a repetition penalty multiplies
 the candidate probabilities via exp(), (4) the weights are renormalised,
-(5) temperature scaling is applied and one token is drawn.
+(5) temperature scaling is applied. ``asts_step`` returns that final
+distribution with its score breakdown; ``simlm.drive`` draws the token.
 
 Semantic alignment and relevance come from pluggable providers: callables
 ``provider(ctx, candidate_ids) -> sequence of floats``. Built-ins cover the
@@ -30,15 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from decodekit.core import (
-    Rng,
-    TokenDistribution,
-    Vocabulary,
-    entropy,
-    normalize,
-    sample,
-    temperature_scale,
-)
+from decodekit.core import TokenDistribution, Vocabulary, entropy, normalize, temperature_scale
 from decodekit.embed import EmbeddingTable, pool_rows
 from decodekit.lts import band_mask
 
@@ -156,7 +149,6 @@ class ScoreBreakdown:
     vocab: Vocabulary
     token_ids: list[int]
     columns: dict[str, np.ndarray]
-    chosen_id: int
 
     def __post_init__(self) -> None:
         total = sum(self.columns["final_probability"].tolist())
@@ -169,12 +161,8 @@ class ScoreBreakdown:
         cols = [self.columns[name].tolist() for name in SCORE_COLUMNS]
         return tuple(CandidateScore(tid, tokens[tid], *row) for tid, *row in zip(self.token_ids, *cols))
 
-    def final_probability_of(self, token_id: int) -> float:
-        if token_id in self.token_ids:
-            return float(self.columns["final_probability"][self.token_ids.index(token_id)])
-        raise KeyError(f"token id {token_id} not among candidates")
-
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, chosen_id: int) -> dict:
+        """The audit line of this step, with ``chosen_id`` the token drawn from it."""
         names = ("token_id", "token", *SCORE_COLUMNS)
         tokens = self.vocab.tokens
         cols = [self.token_ids, [tokens[t] for t in self.token_ids]]
@@ -184,7 +172,7 @@ class ScoreBreakdown:
             "sigma": self.sigma,
             "alpha": self.alpha,
             "beta": self.beta,
-            "chosen_id": self.chosen_id,
+            "chosen_id": chosen_id,
             "candidates": [dict(zip(names, row)) for row in zip(*cols)],
         }
 
@@ -377,20 +365,19 @@ def asts_step(
     cfg: AstsConfig,
     alignment,
     relevance,
-    rng: Rng,
     diversity_fn=None,
     repetition_fn=None,
     composite_fn=None,
     reward_fn=None,
-) -> tuple[int, ScoreBreakdown]:
-    """Run one full ASTS decoding step; ``ctx`` is read, not changed.
+) -> tuple[TokenDistribution, ScoreBreakdown]:
+    """Run one full ASTS decoding step up to the draw; ``ctx`` is read, not changed.
 
     ``alignment`` and ``relevance`` are score providers as described in the
     module docstring. The four ``*_fn`` hooks optionally replace the
     computed diversity / repetition / composite / reward values with
     provider outputs of the same shape; they exist so audit tooling and the
     built-in reference check can replay externally supplied score tables
-    through the live pipeline. Returns (token id, ScoreBreakdown).
+    through the live pipeline. Returns (final distribution, ScoreBreakdown).
     """
     vocab = dist.vocab
     h = entropy(dist)
@@ -435,7 +422,6 @@ def asts_step(
     stable[ids] = p_in * np.exp(exponent - exponent.max())
     normalized = normalize(vocab, stable, support=band)
     final = temperature_scale(normalized, cfg.temperature, support=band)
-    token = sample(final, rng)
 
     columns = dict(
         zip(
@@ -444,7 +430,6 @@ def asts_step(
         )
     )
     breakdown = ScoreBreakdown(
-        entropy=h, sigma=sigma, alpha=alpha, beta=beta, vocab=vocab,
-        token_ids=candidate_ids, columns=columns, chosen_id=token,
+        entropy=h, sigma=sigma, alpha=alpha, beta=beta, vocab=vocab, token_ids=candidate_ids, columns=columns
     )
-    return token, breakdown
+    return final, breakdown

@@ -1,10 +1,11 @@
 """Reference samplers: greedy, top-k, nucleus (top-p) and a Mirostat-style
 surprise-feedback controller.
 
-Top-k and nucleus are truncation rules: ``topk_restrict`` and
-``nucleus_restrict`` map a distribution to its renormalised truncation,
-which ``samplers.TruncationSampler`` then draws from. Greedy takes no draw,
-and Mirostat's cut depends on its controller state, so both are steps.
+Each is a truncation rule that maps a distribution to its renormalised
+truncation; ``simlm.drive`` draws from the result. Greedy keeps the one-hot
+on the argmax. Mirostat's cut depends on its controller state:
+``mirostat_step`` is the cut, and ``MirostatState.update`` moves the budget
+once the token is drawn.
 """
 
 from __future__ import annotations
@@ -14,12 +15,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from decodekit.core import Rng, TokenDistribution, mass_count, restrict, sample, surprisal, top_mask
+from decodekit.core import TokenDistribution, mass_count, restrict, surprisal, top_mask
 
 
-def greedy_step(dist: TokenDistribution) -> int:
-    """Most probable token; argmax ties resolve to the lowest id."""
-    return int(np.argmax(dist.probs))
+def greedy_restrict(dist: TokenDistribution) -> TokenDistribution:
+    """The one-hot on the most probable token (ties to the lowest id); every draw returns it."""
+    keep = np.zeros(len(dist), dtype=bool)
+    keep[np.argmax(dist.probs)] = True  # argmax returns the lowest id on ties
+    return restrict(dist, keep)
 
 
 def topk_restrict(dist: TokenDistribution, k: int) -> TokenDistribution:
@@ -61,20 +64,20 @@ class MirostatState:
         """Fresh state; mu0 defaults to 2*target_tau, the usual warm start."""
         return cls(mu=2.0 * target_tau if mu0 is None else mu0, target_tau=target_tau, eta=eta)
 
+    def update(self, dist: TokenDistribution, token: int) -> "MirostatState":
+        """The budget after drawing ``token``: mu - eta*(s - target_tau), s its surprisal under ``dist``."""
+        return replace(self, mu=self.mu - self.eta * (surprisal(dist, token) - self.target_tau))
 
-def mirostat_step(dist: TokenDistribution, state: MirostatState, rng: Rng) -> tuple[int, MirostatState]:
-    """Sample under the current surprise budget, then move the budget.
 
-    Tokens with surprisal above ``state.mu`` are cut (falling back to the
-    argmax when nothing survives). The emitted token's surprisal under the
-    original distribution feeds the update mu <- mu - eta*(s - target_tau).
+def mirostat_step(dist: TokenDistribution, state: MirostatState) -> TokenDistribution:
+    """The tokens within the current surprise budget, renormalised.
+
+    Tokens with surprisal above ``state.mu`` are cut; when nothing survives
+    the argmax alone is kept.
     """
     ids = dist.support()
     keep = np.zeros(len(dist), dtype=bool)
     keep[ids] = -np.log(dist.probs[ids]) <= state.mu
     if not keep.any():
-        keep[greedy_step(dist)] = True
-    token = sample(restrict(dist, keep), rng)
-    s = surprisal(dist, token)
-    new_state = replace(state, mu=state.mu - state.eta * (s - state.target_tau))
-    return token, new_state
+        return greedy_restrict(dist)
+    return restrict(dist, keep)

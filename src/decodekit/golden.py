@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from decodekit.asts import AstsConfig, GenerationContext, MappedScores, asts_step
-from decodekit.core import Rng, TokenDistribution, Vocabulary
+from decodekit.core import TokenDistribution, Vocabulary
 
 FIXTURE_TOKENS = ("analyze", "optimize", "function", "tasks", "data", "errors", "solve")
 FIXTURE_PROBS = (0.175, 0.172, 0.170, 0.165, 0.120, 0.100, 0.098)
@@ -99,7 +99,6 @@ def _run_step(cfg: AstsConfig, *, inject_totals: bool):
         cfg,
         MappedScores(vocab, ALIGNMENT, default=0.0),
         MappedScores(vocab, RELEVANCE, default=0.0),
-        Rng(0),
         **kwargs,
     )
     return breakdown

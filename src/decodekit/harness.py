@@ -27,12 +27,12 @@ import numpy as np
 
 from decodekit import golden, metrics, simlm
 from decodekit.asts import AstsConfig, ConstantScores, EmbeddingAlignment, KeywordRelevance
-from decodekit.baselines import MirostatState, nucleus_restrict, topk_restrict
+from decodekit.baselines import MirostatState, greedy_restrict, nucleus_restrict, topk_restrict
 from decodekit.core import DistributionError, TokenDistribution, Vocabulary, default_vocabulary
 from decodekit.embed import EmbeddingFormatError, load_table, synthetic_table
 from decodekit.lts import LtsConfig, lts_restrict
 from decodekit.metrics import SequenceCorpus, UniformScorer
-from decodekit.samplers import SAMPLER_NAMES, AstsSampler, GreedySampler, MirostatSampler, TruncationSampler
+from decodekit.samplers import SAMPLER_NAMES, AstsSampler, MirostatSampler, TruncationSampler
 from decodekit.simlm import KINDS, LmProfile, next_distribution, token_probabilities
 
 
@@ -331,9 +331,11 @@ def _load_replay_model(path: str) -> ReplayModel:
         if not isinstance(row, list) or len(row) != len(tokens):
             raise DataError(f"{path}: step {i}: expected {len(tokens)} probabilities")
         arr = np.asarray(row, dtype=np.float64)
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0) or arr.sum() <= 0:
-            raise DataError(f"{path}: step {i}: probabilities must be nonnegative with positive sum")
-        rows.append(arr / arr.sum())  # rows are renormalised exactly
+        with np.errstate(over="ignore"):  # a total that overflows is rejected below
+            total = arr.sum()
+        if not np.all(np.isfinite(arr)) or np.any(arr < 0) or not 0 < total < np.inf:
+            raise DataError(f"{path}: step {i}: probabilities must be nonnegative with a positive, finite sum")
+        rows.append(arr / total)  # rows are renormalised exactly
     return ReplayModel(Vocabulary.from_tokens(tokens), np.stack(rows))
 
 
@@ -388,7 +390,7 @@ def build_sampler(cfg: dict, vocab: Vocabulary, providers=None):
     """
     name = cfg["sampler"]
     if name == "greedy":
-        return GreedySampler()
+        return TruncationSampler(greedy_restrict)
     if name == "topk":
         return TruncationSampler(partial(topk_restrict, k=get_by_path(cfg, "topk.k")))
     if name == "nucleus":
@@ -463,8 +465,8 @@ def run_sequence(cfg: dict, index: int, inputs: RunInputs | None = None) -> dict
     audit = []
     if inputs.audit and isinstance(sampler, AstsSampler):
         audit = [
-            {"sequence": index, "step": t, **b.to_json_dict()}
-            for t, b in enumerate(sampler.breakdowns)
+            {"sequence": index, "step": t, **b.to_json_dict(token)}
+            for t, (b, token) in enumerate(zip(sampler.breakdowns, tokens))
         ]
     return {
         "id": index,

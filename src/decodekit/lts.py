@@ -7,7 +7,7 @@ keeps tokens whose surprisal lies in an explicit interval [alpha, beta];
 the mass variant ranks tokens by typicality deviation |surprisal - entropy|
 and keeps the smallest prefix whose cumulative probability reaches tau.
 ``lts_restrict`` picks one from an ``LtsConfig``, and
-``samplers.TruncationSampler`` draws from its result.
+``simlm.drive`` draws from its result.
 """
 
 from __future__ import annotations

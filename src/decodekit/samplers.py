@@ -1,10 +1,12 @@
-"""Step adapters giving every sampler the same drive-loop interface.
+"""Sampler adapters: every sampler is a rule, and the drive loop draws.
 
-An adapter exposes ``step(dist, ctx, rng) -> token id`` and reads ``ctx``
-without changing it; the drive loop appends each token and its step
-entropy. ``TruncationSampler`` draws from any truncation rule
-``dist -> renormalised dist`` (top-k, nucleus, LTS band or mass). Greedy
-takes no draw, and Mirostat and ASTS keep per-sequence state (the
+An adapter exposes ``restrict(dist, ctx) -> TokenDistribution``, the
+renormalised distribution its rule keeps, and ``observe(token, dist)``,
+which sees the drawn token with the unrestricted step distribution.
+``simlm.drive`` makes the one draw per step from the restricted
+distribution; adapters read ``ctx`` without changing it.
+``TruncationSampler`` serves every stateless rule (greedy, top-k, nucleus,
+LTS band or mass). Mirostat and ASTS keep per-sequence state (the
 controller, the audit trail), so the harness builds a fresh adapter per
 sequence.
 """
@@ -15,34 +17,34 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from decodekit.asts import AstsConfig, ScoreBreakdown, asts_step
-from decodekit.baselines import MirostatState, greedy_step, mirostat_step
-from decodekit.core import Rng, TokenDistribution, sample
+from decodekit.baselines import MirostatState, mirostat_step
+from decodekit.core import TokenDistribution
 
 SAMPLER_NAMES = ("greedy", "topk", "nucleus", "mirostat", "lts", "asts")
 
 
-class GreedySampler:
-    def step(self, dist: TokenDistribution, ctx, rng: Rng) -> int:
-        return greedy_step(dist)
-
-
 @dataclass
 class TruncationSampler:
-    """Draws one token from ``restrict(dist)``."""
+    """A stateless truncation rule ``dist -> renormalised dist``."""
 
-    restrict: Callable[[TokenDistribution], TokenDistribution]
+    rule: Callable[[TokenDistribution], TokenDistribution]
 
-    def step(self, dist: TokenDistribution, ctx, rng: Rng) -> int:
-        return sample(self.restrict(dist), rng)
+    def restrict(self, dist: TokenDistribution, ctx) -> TokenDistribution:
+        return self.rule(dist)
+
+    def observe(self, token: int, dist: TokenDistribution) -> None:
+        pass
 
 
 @dataclass
 class MirostatSampler:
     state: MirostatState
 
-    def step(self, dist: TokenDistribution, ctx, rng: Rng) -> int:
-        token, self.state = mirostat_step(dist, self.state, rng)
-        return token
+    def restrict(self, dist: TokenDistribution, ctx) -> TokenDistribution:
+        return mirostat_step(dist, self.state)
+
+    def observe(self, token: int, dist: TokenDistribution) -> None:
+        self.state = self.state.update(dist, token)
 
 
 @dataclass
@@ -54,7 +56,10 @@ class AstsSampler:
     relevance: object
     breakdowns: list[ScoreBreakdown] = field(default_factory=list)
 
-    def step(self, dist: TokenDistribution, ctx, rng: Rng) -> int:
-        token, breakdown = asts_step(dist, ctx, self.cfg, self.alignment, self.relevance, rng)
+    def restrict(self, dist: TokenDistribution, ctx) -> TokenDistribution:
+        final, breakdown = asts_step(dist, ctx, self.cfg, self.alignment, self.relevance)
         self.breakdowns.append(breakdown)
-        return token
+        return final
+
+    def observe(self, token: int, dist: TokenDistribution) -> None:
+        pass

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from decodekit.core import DistributionError, Rng, TokenDistribution, Vocabulary, entropy
+from decodekit.core import DistributionError, Rng, TokenDistribution, Vocabulary, entropy, sample
 from decodekit.asts import GenerationContext
 
 KINDS = ("peaked", "flat", "mixed", "loop_prone")
@@ -111,10 +111,12 @@ def drive(next_fn, sampler, seed: int, max_tokens: int, prompt=(), window_w: int
     """Generic decode loop shared by synthetic and replayed models.
 
     ``next_fn(ctx, step)`` supplies each step's TokenDistribution and
-    ``sampler.step(dist, ctx, rng)`` picks the token; the loop then appends
-    the token to ``ctx`` and pushes the step entropy onto its window, for
-    every sampler. The prompt seeds the context but is not part of the
-    returned sequence. Returns (token ids, per-step entropy trace).
+    ``sampler.restrict(dist, ctx)`` the distribution its rule keeps. The
+    loop makes the step's one draw from it, shows the token and ``dist`` to
+    ``sampler.observe``, then appends the token to ``ctx`` and pushes the
+    step entropy onto its window, for every sampler. The prompt seeds the
+    context but is not part of the returned sequence. Returns (token ids,
+    per-step entropy trace).
     """
     if max_tokens < 1:
         raise ValueError(f"max_tokens must be >= 1, got {max_tokens}")
@@ -127,7 +129,8 @@ def drive(next_fn, sampler, seed: int, max_tokens: int, prompt=(), window_w: int
     for step in range(max_tokens):
         dist = next_fn(ctx, step)
         h = entropy(dist)
-        token = sampler.step(dist, ctx, rng)
+        token = sample(sampler.restrict(dist, ctx), rng)
+        sampler.observe(token, dist)
         ctx.append(token)
         ctx.push_entropy(h)
         tokens.append(token)

@@ -163,7 +163,7 @@ def test_criterion_4_property_suites(tmp_path):
             "mass renorm": typical_set_mass(dist, float(gen.uniform(0.05, 1.0))).probs.sum(),
         }
         ctx = GenerationContext(window_w=8)
-        _, breakdown = asts_step(dist, ctx, AstsConfig(), zero, zero, Rng(case))
+        _, breakdown = asts_step(dist, ctx, AstsConfig(), zero, zero)
         stages["asts final"] = sum(c.final_probability for c in breakdown.candidates)
         bad = [f"{name} sums to {s!r}" for name, s in stages.items() if abs(s - 1.0) > 1e-9]
         if bad:
@@ -211,7 +211,7 @@ def test_criterion_4_property_suites(tmp_path):
         outs = []
         for table in (rewards, shifted):
             _, breakdown = asts_step(
-                dist, GenerationContext(window_w=8), wide_cfg, zero, zero, Rng(case),
+                dist, GenerationContext(window_w=8), wide_cfg, zero, zero,
                 reward_fn=MappedScores(dist.vocab, table),
             )
             outs.append({c.token: c.final_probability for c in breakdown.candidates})
@@ -232,7 +232,7 @@ def test_criterion_4_property_suites(tmp_path):
         for f in (f1, f2):
             history = [0] * f + list(range(1, length - f + 1))
             ctx = GenerationContext(window_w=8, history=history)
-            _, breakdown = asts_step(uniform16, ctx, AstsConfig(), zero, zero, Rng(case))
+            _, breakdown = asts_step(uniform16, ctx, AstsConfig(), zero, zero)
             weights.append(next(c.adjusted_weight for c in breakdown.candidates if c.token_id == 0))
         if not weights[1] < weights[0]:
             problems.append(f"adjusted weight not decreasing in frequency on case {case} ({f1} -> {f2})")

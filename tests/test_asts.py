@@ -61,7 +61,7 @@ def mapped(vocab, table):
     return MappedScores(vocab, table)
 
 
-def run_fixture_step(seven_dist, inject_tables, cfg=FIXTURE_CFG, seed=0):
+def run_fixture_step(seven_dist, inject_tables, cfg=FIXTURE_CFG):
     """One pipeline step on the seven-token fixture with reference scores."""
     vocab = seven_dist.vocab
     kwargs = dict(
@@ -74,7 +74,7 @@ def run_fixture_step(seven_dist, inject_tables, cfg=FIXTURE_CFG, seed=0):
         kwargs["composite_fn"] = mapped(vocab, COMPOSITE_TABLE)
         kwargs["reward_fn"] = mapped(vocab, REWARD_TABLE)
     ctx = GenerationContext(window_w=cfg.window_w)
-    return asts_step(seven_dist, ctx, cfg, rng=Rng(seed), **kwargs), ctx
+    return asts_step(seven_dist, ctx, cfg, **kwargs), ctx
 
 
 class TestOps:
@@ -306,17 +306,19 @@ class TestPipelineFixture:
         assert final == pytest.approx(expected, abs=1e-5)
 
     def test_breakdown_json_roundtrip(self, seven_dist):
-        (tok, bd), _ = run_fixture_step(seven_dist, inject_tables=False)
-        d = bd.to_json_dict()
+        (final, bd), _ = run_fixture_step(seven_dist, inject_tables=False)
+        tok = sample(final, Rng(0))
+        d = bd.to_json_dict(tok)
         assert d["chosen_id"] == tok
         assert len(d["candidates"]) == 4
         assert d["candidates"][0]["token"] == "analyze"
 
     def test_deterministic_replay(self, seven_dist):
-        (tok_a, bd_a), _ = run_fixture_step(seven_dist, inject_tables=False, seed=17)
-        (tok_b, bd_b), _ = run_fixture_step(seven_dist, inject_tables=False, seed=17)
+        (final_a, bd_a), _ = run_fixture_step(seven_dist, inject_tables=False)
+        (final_b, bd_b), _ = run_fixture_step(seven_dist, inject_tables=False)
+        tok_a, tok_b = sample(final_a, Rng(17)), sample(final_b, Rng(17))
         assert tok_a == tok_b
-        assert bd_a.to_json_dict() == bd_b.to_json_dict()
+        assert bd_a.to_json_dict(tok_a) == bd_b.to_json_dict(tok_b)
 
     def test_eq13_form_matches_inline_computation(self, seven_dist):
         cfg = AstsConfig(adjust_form="eq13")
@@ -336,10 +338,8 @@ class TestPipelineBehaviour:
         cfg = AstsConfig(k1=1000.0, k2=1000.0, lambda1=0, lambda2=0, lambda3=0, mu1=0, mu2=0, mu3=0)
         for seed in range(20):
             direct = sample(dist, Rng(seed))
-            tok, bd = asts_step(
-                dist, GenerationContext(), cfg, ConstantScores(), ConstantScores(), Rng(seed)
-            )
-            assert tok == direct
+            final, bd = asts_step(dist, GenerationContext(), cfg, ConstantScores(), ConstantScores())
+            assert sample(final, Rng(seed)) == direct
             finals = {c.token_id: c.final_probability for c in bd.candidates}
             for tid, p in finals.items():
                 assert p == pytest.approx(dist.prob(tid), abs=1e-12)
@@ -347,7 +347,7 @@ class TestPipelineBehaviour:
     def test_zero_probability_tokens_never_candidates(self):
         dist = make_dist([0.5, 0.0, 0.5])
         cfg = AstsConfig(k1=1000.0, k2=1000.0)
-        tok, bd = asts_step(dist, GenerationContext(), cfg, ConstantScores(), ConstantScores(), Rng(1))
+        _, bd = asts_step(dist, GenerationContext(), cfg, ConstantScores(), ConstantScores())
         assert {c.token_id for c in bd.candidates} == {0, 2}
 
     def test_sigma_tracks_window_after_warmup(self, seven_dist):
@@ -355,9 +355,7 @@ class TestPipelineBehaviour:
         ctx.push_entropy(1.0)
         ctx.push_entropy(2.0)
         ctx.push_entropy(3.0)
-        _, bd = asts_step(
-            seven_dist, ctx, FIXTURE_CFG, ConstantScores(), ConstantScores(), Rng(0)
-        )
+        _, bd = asts_step(seven_dist, ctx, FIXTURE_CFG, ConstantScores(), ConstantScores())
         assert bd.sigma == pytest.approx(math.sqrt(2 / 3), abs=1e-12)
 
     def test_higher_frequency_strictly_lowers_adjusted_weight(self):
@@ -368,7 +366,7 @@ class TestPipelineBehaviour:
             ctx.append(0)
         ctx.append(1)
         cfg = AstsConfig(mu3=0.5)
-        _, bd = asts_step(dist, ctx, cfg, ConstantScores(0.5), ConstantScores(0.5), Rng(0))
+        _, bd = asts_step(dist, ctx, cfg, ConstantScores(0.5), ConstantScores(0.5))
         weights = {c.token_id: c.adjusted_weight for c in bd.candidates}
         assert weights[1] > weights[0]
         assert weights[2] > weights[1]  # unseen beats seen-once
@@ -378,7 +376,7 @@ class TestPipelineBehaviour:
             return np.zeros(len(ids) + 1)
 
         with pytest.raises(ProviderError, match="alignment"):
-            asts_step(seven_dist, GenerationContext(), FIXTURE_CFG, bad, ConstantScores(), Rng(0))
+            asts_step(seven_dist, GenerationContext(), FIXTURE_CFG, bad, ConstantScores())
 
     def test_provider_nan_names_the_token(self, seven_dist):
         def bad(ctx, ids):
@@ -387,14 +385,14 @@ class TestPipelineBehaviour:
             return out
 
         with pytest.raises(ProviderError, match="analyze"):
-            asts_step(seven_dist, GenerationContext(), FIXTURE_CFG, bad, ConstantScores(), Rng(0))
+            asts_step(seven_dist, GenerationContext(), FIXTURE_CFG, bad, ConstantScores())
 
     def test_provider_exception_wrapped(self, seven_dist):
         def bad(ctx, ids):
             raise RuntimeError("backend unavailable")
 
         with pytest.raises(ProviderError, match="relevance provider failed"):
-            asts_step(seven_dist, GenerationContext(), FIXTURE_CFG, ConstantScores(), bad, Rng(0))
+            asts_step(seven_dist, GenerationContext(), FIXTURE_CFG, ConstantScores(), bad)
 
     def test_missing_embedding_token_surfaces_as_provider_error(self, seven_vocab, seven_dist):
         small = Vocabulary.from_tokens(("analyze", "optimize"))
@@ -402,14 +400,13 @@ class TestPipelineBehaviour:
         provider = EmbeddingAlignment(table, seven_vocab)
         ctx = GenerationContext(history=[seven_vocab.id_of("analyze")])
         with pytest.raises(ProviderError):
-            asts_step(seven_dist, ctx, FIXTURE_CFG, provider, ConstantScores(), Rng(0))
+            asts_step(seven_dist, ctx, FIXTURE_CFG, provider, ConstantScores())
 
     @given(
         st.lists(st.floats(min_value=1e-4, max_value=1e4), min_size=2, max_size=16),
         st.floats(min_value=-5.0, max_value=5.0),
-        st.integers(0, 2**31 - 1),
     )
-    def test_exp_shift_invariance(self, weights, c, seed):
+    def test_exp_shift_invariance(self, weights, c):
         # Adding a constant to every reward must not move the final probabilities.
         dist = make_dist(weights)
 
@@ -421,12 +418,10 @@ class TestPipelineBehaviour:
 
         cfg = AstsConfig(k1=50.0, k2=50.0)
         _, bd_a = asts_step(
-            dist, GenerationContext(), cfg, ConstantScores(), ConstantScores(), Rng(seed),
-            reward_fn=rew_base,
+            dist, GenerationContext(), cfg, ConstantScores(), ConstantScores(), reward_fn=rew_base
         )
         _, bd_b = asts_step(
-            dist, GenerationContext(), cfg, ConstantScores(), ConstantScores(), Rng(seed),
-            reward_fn=rew_shifted,
+            dist, GenerationContext(), cfg, ConstantScores(), ConstantScores(), reward_fn=rew_shifted
         )
         fin_a = [cand.final_probability for cand in bd_a.candidates]
         fin_b = [cand.final_probability for cand in bd_b.candidates]
@@ -438,12 +433,10 @@ class TestPipelineBehaviour:
     )
     def test_final_distribution_always_normalised(self, weights, seed):
         dist = make_dist(weights)
-        _, bd = asts_step(
-            dist, GenerationContext(), AstsConfig(), ConstantScores(), ConstantScores(), Rng(seed)
-        )
+        final, bd = asts_step(dist, GenerationContext(), AstsConfig(), ConstantScores(), ConstantScores())
         total = sum(c.final_probability for c in bd.candidates)
         assert total == pytest.approx(1.0, abs=1e-9)
-        assert bd.chosen_id in {c.token_id for c in bd.candidates}
+        assert sample(final, Rng(seed)) in {c.token_id for c in bd.candidates}
 
 
 def _random_table_file(tmp_path, vocab, dim, seed):
@@ -509,9 +502,8 @@ class TestStepColumnsEqualScalarFormulas:
         st.lists(st.integers(0, 39), max_size=30),
         st.floats(min_value=0.0, max_value=3.0),
         st.sampled_from(ADJUST_FORMS),
-        st.integers(0, 2**31 - 1),
     )
-    def test_columns_equal_scalar_scores(self, weights, history, k, adjust_form, seed):
+    def test_columns_equal_scalar_scores(self, weights, history, k, adjust_form):
         dist = make_dist(weights)
         vocab = dist.vocab
         history = [t % len(vocab) for t in history]
@@ -520,7 +512,7 @@ class TestStepColumnsEqualScalarFormulas:
         relevance = KeywordRelevance(vocab, ("t1", "2"))
         ctx = GenerationContext(history=list(history))
         before = GenerationContext(history=list(history))
-        _, bd = asts_step(dist, ctx, cfg, alignment, relevance, Rng(seed))
+        _, bd = asts_step(dist, ctx, cfg, alignment, relevance)
 
         h = bd.entropy
         for c in bd.candidates:
@@ -532,4 +524,4 @@ class TestStepColumnsEqualScalarFormulas:
             assert c.repetition_penalty == repetition_penalty(freq, len(before))
             assert c.composite == composite_score(c.coherence, c.semantic_alignment, c.diversity, cfg)
             assert c.reward == reward(c.semantic_alignment, c.relevance, c.repetition_penalty, cfg)
-        assert bd.to_json_dict()["candidates"] == [c.to_json_dict() for c in bd.candidates]
+        assert bd.to_json_dict(bd.token_ids[0])["candidates"] == [c.to_json_dict() for c in bd.candidates]

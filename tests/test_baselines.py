@@ -4,17 +4,29 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decodekit.baselines import (
     MirostatState,
-    greedy_step,
+    greedy_restrict,
     mirostat_step,
     nucleus_restrict,
     topk_restrict,
 )
 from decodekit.core import Rng, TokenDistribution, Vocabulary, sample, surprisal
+
+
+def greedy_token(dist):
+    """The token the greedy rule keeps."""
+    (token,) = greedy_restrict(dist).support().tolist()
+    return token
+
+
+def mirostat_draw(dist, state, rng):
+    """One Mirostat step as ``simlm.drive`` takes it: cut, draw, then update mu."""
+    token = sample(mirostat_step(dist, state), rng)
+    return token, state.update(dist, token)
 
 
 def make_dist(weights):
@@ -32,19 +44,36 @@ weight_lists = st.lists(
 
 class TestGreedy:
     def test_fixture_argmax(self, seven_dist, seven_vocab):
-        assert seven_vocab.tokens[greedy_step(seven_dist)] == "analyze"
+        assert seven_vocab.tokens[greedy_token(seven_dist)] == "analyze"
 
     def test_one_hot(self):
-        assert greedy_step(make_dist([0, 0, 1])) == 2
+        assert greedy_token(make_dist([0, 0, 1])) == 2
 
     def test_tie_takes_lower_id(self):
-        assert greedy_step(make_dist([0.2, 0.4, 0.4])) == 1
+        assert greedy_token(make_dist([0.2, 0.4, 0.4])) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 4096),
+        st.lists(st.sampled_from([0.0, 0.0, 1e-300, 0.5, 1.0, 3.0]), min_size=1, max_size=4),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, float(np.nextafter(1.0, 0.0))]),
+    )
+    def test_draw_is_the_argmax_at_either_end_of_the_uniform(self, size, levels, seed, u):
+        # Few weight levels over many tokens: ties everywhere, zeros included.
+        weights = np.random.default_rng(seed).choice(levels, size=size)
+        if not weights.any():
+            weights[-1] = 1.0
+        dist = make_dist(weights)
+        rng = Rng(0)
+        rng.uniform = lambda: u
+        assert sample(greedy_restrict(dist), rng) == int(np.argmax(dist.probs))
 
 
 class TestTopK:
     def test_k_one_is_greedy(self, seven_dist):
         for seed in range(20):
-            assert sample(topk_restrict(seven_dist, 1), Rng(seed)) == greedy_step(seven_dist)
+            assert sample(topk_restrict(seven_dist, 1), Rng(seed)) == greedy_token(seven_dist)
 
     def test_fixture_k_two(self, seven_dist):
         out = topk_restrict(seven_dist, 2)
@@ -132,7 +161,7 @@ class TestMirostat:
         # s = 0 < tau, so the budget grows by eta * tau.
         dist = make_dist([0, 1])
         state = MirostatState.initial(target_tau=3.0, eta=0.1)
-        tok, new = mirostat_step(dist, state, Rng(0))
+        tok, new = mirostat_draw(dist, state, Rng(0))
         assert tok == 1
         assert new.mu == pytest.approx(state.mu + 0.1 * 3.0, abs=1e-12)
 
@@ -140,7 +169,7 @@ class TestMirostat:
         state = MirostatState.initial(target_tau=3.0, eta=0.0)
         rng = Rng(3)
         for _ in range(10):
-            _, state = mirostat_step(seven_dist, state, rng)
+            _, state = mirostat_draw(seven_dist, state, rng)
         assert state.mu == 6.0
 
     def test_uniform_twenty_long_run_average(self):
@@ -151,7 +180,7 @@ class TestMirostat:
         total = 0.0
         n = 5000
         for _ in range(n):
-            tok, state = mirostat_step(dist, state, rng)
+            tok, state = mirostat_draw(dist, state, rng)
             total += surprisal(dist, tok)
         assert total / n == pytest.approx(min(3.0, math.log(20)), abs=0.3)
 
@@ -159,7 +188,7 @@ class TestMirostat:
         # mu below every fixture surprisal (min 1.743): argmax fallback.
         state = MirostatState(mu=1.0)
         for seed in range(10):
-            tok, _ = mirostat_step(seven_dist, state, Rng(seed))
+            tok, _ = mirostat_draw(seven_dist, state, Rng(seed))
             assert tok == 0
 
     def test_budget_between_members_truncates(self, seven_dist, seven_vocab):
@@ -168,7 +197,7 @@ class TestMirostat:
         seen = set()
         rng = Rng(7)
         for _ in range(300):
-            tok, _ = mirostat_step(seven_dist, state, rng)
+            tok, _ = mirostat_draw(seven_dist, state, rng)
             seen.add(seven_vocab.tokens[tok])
         assert seen == {"analyze", "optimize", "function", "tasks"}
 
@@ -191,6 +220,6 @@ class TestMirostat:
         for weights in all_weights:
             dist = make_dist(weights)
             before = state.mu
-            tok, state = mirostat_step(dist, state, rng)
+            tok, state = mirostat_draw(dist, state, rng)
             s = surprisal(dist, tok)
             assert state.mu == pytest.approx(before - eta * (s - tau), abs=1e-12)

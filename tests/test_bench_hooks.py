@@ -15,6 +15,8 @@ from pathlib import Path
 
 import pytest
 
+from decodekit.samplers import SAMPLER_NAMES
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -71,3 +73,19 @@ def test_traced_run_calls_every_truncation_rule(tracer):
             run_sequence(cfg, 0)
     for name in TRUNCATION_RUNS:
         assert traced.n_calls({name}) == 4, name
+
+
+@pytest.mark.parametrize("name", SAMPLER_NAMES)
+def test_traced_run_draws_once_per_token(tracer, name):
+    # simlm.drive owns the only draw: every sampler, ASTS included, is a rule.
+    from decodekit.harness import DEFAULTS, run_sequence
+
+    cfg = copy.deepcopy(DEFAULTS)
+    cfg["max_tokens"] = 4
+    cfg["sampler"] = name
+    traced = tracer.Tracer()
+    with traced.installed():
+        run_sequence(cfg, 0)
+    assert traced.n_calls({"core.sample"}) == 4
+    if name == "asts":
+        assert traced.n_calls({"asts.asts_step"}) == 4

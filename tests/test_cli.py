@@ -114,6 +114,21 @@ class TestGenerateCommand:
         assert "config error: model.synthetic.base_temperature" in capsys.readouterr().err
         assert not (tmp_path / "out.jsonl").exists()
 
+    def test_replay_row_that_overflows_exit_three(self, tmp_path, capsys):
+        # Each entry is finite, but the row total is inf.
+        replay = write_json(tmp_path / "dist.json", {"tokens": ["a", "b", "c"], "steps": [[1e308, 1e308, 1.0]]})
+        cfg = write_json(
+            tmp_path / "run.json",
+            {
+                "sampler": "greedy",
+                "model": {"selector": f"file:{replay}"},
+                "output": {"corpus": str(tmp_path / "out.jsonl")},
+            },
+        )
+        assert main(["generate", "--config", cfg]) == 3
+        assert "step 0: probabilities must be nonnegative with a positive, finite sum" in capsys.readouterr().err
+        assert not (tmp_path / "out.jsonl").exists()
+
 
 class TestMetricsCommand:
     def test_generate_then_metrics(self, tmp_path, run_config):

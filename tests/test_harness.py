@@ -185,12 +185,14 @@ class TestGenerate:
     def test_asts_audit_log(self, tmp_path):
         overrides = base_overrides(tmp_path, sampler="asts", num_sequences=2)
         audit_path = tmp_path / "audit.jsonl"
-        cmd_generate(write_config(tmp_path, overrides), audit_path=audit_path)
+        records = cmd_generate(write_config(tmp_path, overrides), audit_path=audit_path)
         lines = audit_path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 2 * 10  # one record per sequence per step
         first = json.loads(lines[0])
         assert first["sequence"] == 0 and first["step"] == 0
         assert {"entropy", "alpha", "beta", "candidates", "chosen_id"} <= set(first)
+        for line in map(json.loads, lines):
+            assert line["chosen_id"] == records[line["sequence"]]["token_ids"][line["step"]]
 
     def test_non_asts_audit_is_empty(self, tmp_path):
         audit_path = tmp_path / "audit.jsonl"

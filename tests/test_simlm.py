@@ -10,14 +10,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from decodekit.asts import AstsConfig, ConstantScores
-from decodekit.baselines import MirostatState, nucleus_restrict, topk_restrict
+from decodekit.baselines import MirostatState, greedy_restrict, nucleus_restrict, topk_restrict
 from decodekit.core import Rng, default_vocabulary, entropy
 from decodekit.harness import DEFAULTS, build_sampler
 from decodekit.lts import LtsConfig, lts_restrict
-from decodekit.samplers import SAMPLER_NAMES, AstsSampler, GreedySampler, MirostatSampler, TruncationSampler
+from decodekit.samplers import SAMPLER_NAMES, AstsSampler, MirostatSampler, TruncationSampler
 from decodekit.simlm import KINDS, LmProfile, drive, generate, next_distribution
 
 VOCAB = default_vocabulary(32)
+GREEDY = TruncationSampler(greedy_restrict)
 
 
 class TestProfile:
@@ -98,23 +99,23 @@ class TestNextDistribution:
 
 class TestGenerate:
     def test_max_tokens_one(self):
-        tokens, trace = generate(LmProfile(), GreedySampler(), VOCAB, seed=0, max_tokens=1)
+        tokens, trace = generate(LmProfile(), GREEDY, VOCAB, seed=0, max_tokens=1)
         assert len(tokens) == 1
         assert len(trace) == 1
 
     def test_max_tokens_validated(self):
         with pytest.raises(ValueError):
-            generate(LmProfile(), GreedySampler(), VOCAB, seed=0, max_tokens=0)
+            generate(LmProfile(), GREEDY, VOCAB, seed=0, max_tokens=0)
 
     def test_greedy_is_run_invariant(self):
         profile = LmProfile(kind="peaked", seed=3)
-        runs = [generate(profile, GreedySampler(), VOCAB, seed=9, max_tokens=25) for _ in range(3)]
+        runs = [generate(profile, GREEDY, VOCAB, seed=9, max_tokens=25) for _ in range(3)]
         assert runs[0] == runs[1] == runs[2]
 
     def test_full_run_determinism_across_samplers(self):
         profile = LmProfile(kind="mixed", seed=3)
         samplers = [
-            GreedySampler(),
+            GREEDY,
             TruncationSampler(partial(topk_restrict, k=5)),
             TruncationSampler(partial(nucleus_restrict, p=0.9)),
             MirostatSampler(MirostatState.initial(target_tau=3.0, eta=0.1)),
@@ -135,15 +136,15 @@ class TestGenerate:
 
     def test_prompt_seeds_context_but_not_output(self):
         profile = LmProfile(kind="peaked", seed=3)
-        tokens, _ = generate(profile, GreedySampler(), VOCAB, seed=0, max_tokens=5, prompt=(1, 2, 3))
+        tokens, _ = generate(profile, GREEDY, VOCAB, seed=0, max_tokens=5, prompt=(1, 2, 3))
         assert len(tokens) == 5
         # a different prompt steers the conditional distributions
-        other, _ = generate(profile, GreedySampler(), VOCAB, seed=0, max_tokens=5, prompt=(4, 5, 6))
+        other, _ = generate(profile, GREEDY, VOCAB, seed=0, max_tokens=5, prompt=(4, 5, 6))
         assert tokens != other
 
     def test_entropy_trace_matches_replayed_distributions(self):
         profile = LmProfile(kind="mixed", seed=8)
-        tokens, trace = generate(profile, GreedySampler(), VOCAB, seed=0, max_tokens=15)
+        tokens, trace = generate(profile, GREEDY, VOCAB, seed=0, max_tokens=15)
         history = []
         for tok, h in zip(tokens, trace):
             dist = next_distribution(profile, history, VOCAB)
@@ -154,7 +155,7 @@ class TestGenerate:
         sampler = AstsSampler(AstsConfig(), ConstantScores(), ConstantScores())
         tokens, _ = generate(LmProfile(seed=1), sampler, VOCAB, seed=4, max_tokens=8)
         assert len(sampler.breakdowns) == 8
-        assert [b.chosen_id for b in sampler.breakdowns] == tokens
+        assert all(t in b.token_ids for b, t in zip(sampler.breakdowns, tokens))
 
 
 @pytest.mark.parametrize("name", SAMPLER_NAMES)
