@@ -24,10 +24,12 @@ few inputs.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter, deque
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -161,20 +163,44 @@ class ScoreBreakdown:
         cols = [self.columns[name].tolist() for name in SCORE_COLUMNS]
         return tuple(CandidateScore(tid, tokens[tid], *row) for tid, *row in zip(self.token_ids, *cols))
 
+    def to_json_line(self, sequence: int, step: int, chosen_id: int) -> str:
+        """The audit line of step ``step`` of ``sequence``, with ``chosen_id`` the token drawn.
+
+        The text is what ``json.dumps(obj, ensure_ascii=False)`` writes for
+        the object with keys sequence, step, entropy, sigma, alpha, beta,
+        chosen_id and candidates (one object per candidate, keys
+        ``token_id``, ``token`` and ``SCORE_COLUMNS``), built column by
+        column without the objects.
+        """
+        tokens = map(self.vocab.tokens.__getitem__, self.token_ids)
+        cols = [map(str, self.token_ids), map(encode_basestring, tokens)]
+        cols += [_json_floats(self.columns[name].tolist()) for name in SCORE_COLUMNS]
+        entropy, sigma, alpha, beta = _json_floats([self.entropy, self.sigma, self.alpha, self.beta])
+        return (
+            f'{{"sequence": {sequence}, "step": {step}, "entropy": {entropy}, "sigma": {sigma}, '
+            f'"alpha": {alpha}, "beta": {beta}, "chosen_id": {chosen_id}, "candidates": ['
+            + ", ".join(map(_CANDIDATE_TEMPLATE.__mod__, zip(*cols)))
+            + "]}"
+        )
+
     def to_json_dict(self, chosen_id: int) -> dict:
-        """The audit line of this step, with ``chosen_id`` the token drawn from it."""
-        names = ("token_id", "token", *SCORE_COLUMNS)
-        tokens = self.vocab.tokens
-        cols = [self.token_ids, [tokens[t] for t in self.token_ids]]
-        cols += [self.columns[name].tolist() for name in SCORE_COLUMNS]
-        return {
-            "entropy": self.entropy,
-            "sigma": self.sigma,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "chosen_id": chosen_id,
-            "candidates": [dict(zip(names, row)) for row in zip(*cols)],
-        }
+        """The audit line of this step as an object, without sequence and step."""
+        line = json.loads(self.to_json_line(0, 0, chosen_id))
+        del line["sequence"], line["step"]
+        return line
+
+
+# One candidate object of an audit line; each %s takes a JSON value.
+_CANDIDATE_TEMPLATE = "{" + ", ".join(f'"{name}": %s' for name in ("token_id", "token", *SCORE_COLUMNS)) + "}"
+
+
+def _json_floats(values: list[float]):
+    """Each float as ``json.dumps`` writes it, ``NaN``/``Infinity`` included."""
+    # A finite sum means every value is finite, since inf and nan propagate;
+    # a sum that overflows only sends finite values down the exact slow path.
+    if math.isfinite(sum(values)):
+        return map(float.__repr__, values)
+    return map(json.dumps, values)
 
 
 def sigma_entropy(entropy_window, sigma_prior: float) -> float:

@@ -69,7 +69,9 @@ def default_vocabulary(size: int = 256) -> Vocabulary:
     """Synthetic vocabulary ``tok000 .. tokNNN`` used by desk-scale runs."""
     if size < 1:
         raise ValueError(f"vocabulary size must be >= 1, got {size}")
-    return Vocabulary.from_tokens(f"tok{i:03d}" for i in range(size))
+    # One %-format over the whole range builds the names several times
+    # faster than an f-string per token.
+    return Vocabulary.from_tokens((("tok%03d " * size) % tuple(range(size))).split())
 
 
 @dataclass(frozen=True)

@@ -298,14 +298,18 @@ class SyntheticModel:
 
 
 class ReplayModel:
-    """Steps through distributions loaded from a file, cycling at the end."""
+    """Steps through distributions loaded from a file, cycling at the end.
+
+    ``rows`` must hold valid probability rows, as ``_load_replay_model``
+    checks them; ``next`` wraps each row without checking it again.
+    """
 
     def __init__(self, vocab: Vocabulary, rows: np.ndarray):
         self.vocab = vocab
         self.rows = rows
 
     def next(self, ctx, step: int):
-        return TokenDistribution(self.vocab, self.rows[step % len(self.rows)])
+        return TokenDistribution._checked_by_caller(self.vocab, self.rows[step % len(self.rows)])
 
     def score(self, seq) -> list[float]:
         """Position ``i`` scored under row ``i``, as ``next`` steps through them."""
@@ -336,7 +340,9 @@ def _load_replay_model(path: str) -> ReplayModel:
         if not np.all(np.isfinite(arr)) or np.any(arr < 0) or not 0 < total < np.inf:
             raise DataError(f"{path}: step {i}: probabilities must be nonnegative with a positive, finite sum")
         rows.append(arr / total)  # rows are renormalised exactly
-    return ReplayModel(Vocabulary.from_tokens(tokens), np.stack(rows))
+    stacked = np.stack(rows)
+    stacked.flags.writeable = False  # next() hands out views of these rows
+    return ReplayModel(Vocabulary.from_tokens(tokens), stacked)
 
 
 def build_model(cfg: dict):
@@ -434,7 +440,7 @@ class RunInputs:
     model: object
     prompts: list
     providers: tuple | None
-    audit: bool  # whether sequences keep their ASTS audit records
+    audit: bool  # whether sequences keep their ASTS audit lines
 
 
 def prepare_run(cfg: dict, audit: bool = False) -> RunInputs:
@@ -464,10 +470,7 @@ def run_sequence(cfg: dict, index: int, inputs: RunInputs | None = None) -> dict
     )
     audit = []
     if inputs.audit and isinstance(sampler, AstsSampler):
-        audit = [
-            {"sequence": index, "step": t, **b.to_json_dict(token)}
-            for t, (b, token) in enumerate(zip(sampler.breakdowns, tokens))
-        ]
+        audit = [b.to_json_line(index, t, token) for t, (b, token) in enumerate(zip(sampler.breakdowns, tokens))]
     return {
         "id": index,
         "token_ids": tokens,
@@ -496,7 +499,7 @@ def run_generation(cfg: dict, audit: bool = False) -> list[dict]:
 
     The run's inputs are built once, here, so a broken input raises before
     any worker starts; each worker receives them once. ``audit`` keeps each
-    ASTS step's score breakdown in the records.
+    ASTS step's audit line (``ScoreBreakdown.to_json_line``) in the records.
     """
     inputs = prepare_run(cfg, audit)
     indices = range(cfg["num_sequences"])
@@ -539,7 +542,7 @@ def cmd_generate(config_path, audit_path=None) -> list[dict]:
         with _open_out(audit_path) as fh:
             for rec in records:
                 for line in rec["audit"]:
-                    fh.write(json.dumps(line, ensure_ascii=False) + "\n")
+                    fh.write(line + "\n")
     return records
 
 

@@ -83,11 +83,13 @@ def _weights(profile: LmProfile, suffix: tuple[int, ...], size: int) -> np.ndarr
         # same as adding ln(gamma) to the raw score.
         scores[list(set(suffix))] += math.log(profile.loop_gamma)
 
-    z = scores / temperature
-    top = z.max()
+    # max(scores / t) is max(scores) / t bit for bit, since t > 0; taking it
+    # as a Python float first rejects an overflow before numpy divides (and
+    # warns). A subnormal base_temperature times 0.25 can round to t = 0.
+    top = float(scores.max()) / temperature if temperature else math.inf
     if not math.isfinite(top):
         raise DistributionError(f"scores overflow at base_temperature {profile.base_temperature!r}")
-    return np.exp(z - top)
+    return np.exp(scores / temperature - top)
 
 
 def next_distribution(profile: LmProfile, ctx, vocab: Vocabulary) -> TokenDistribution:

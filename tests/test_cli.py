@@ -1,9 +1,13 @@
 """End-to-end command line checks: argv in, exit code + files out."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import decodekit
 from decodekit.cli import main
 
 
@@ -243,3 +247,22 @@ class TestGoldenCommand:
         out = capsys.readouterr().out
         passes = [line for line in out.splitlines() if line.startswith("PASS")]
         assert len(passes) == 20
+
+
+@pytest.mark.parametrize("command", ["generate", "metrics"])
+def test_overflowing_base_temperature_prints_no_warning(tmp_path, command):
+    """The config error is the only line on stderr: numpy never divides into an overflow."""
+    cfg = tiny_temperature_config(tmp_path)
+    args = ["generate", "--config", cfg]
+    if command == "metrics":
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"tokens": ["tok001", "tok002", "tok003"]}\n', encoding="utf-8")
+        args = ["metrics", "--generated", str(corpus), "--out", str(tmp_path / "r.json"), "--config", cfg]
+    src = os.path.dirname(os.path.dirname(decodekit.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "decodekit.cli", *args], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: model.synthetic.base_temperature")
+    assert "RuntimeWarning" not in proc.stderr

@@ -63,6 +63,10 @@ class TestVocabulary:
         assert vocab.tokens[0] == "tok000"
         assert vocab.tokens[299] == "tok299"
 
+    @pytest.mark.parametrize("n", [1, 999, 1000, 1001, 4096])
+    def test_default_vocabulary_equals_per_token_names(self, n):
+        assert default_vocabulary(n).tokens == tuple(f"tok{i:03d}" for i in range(n))
+
 
 class TestTokenDistribution:
     def test_validates_sum(self, seven_vocab):

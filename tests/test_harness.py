@@ -2,15 +2,17 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from decodekit.asts import CandidateScore, ScoreBreakdown
-from decodekit.core import default_vocabulary
+from decodekit.core import TokenDistribution, default_vocabulary
 from decodekit.embed import load_table, save_table, synthetic_table
 from decodekit.harness import (
     ConfigError,
     DataError,
     MetricError,
+    build_model,
     cmd_generate,
     cmd_golden,
     cmd_metrics,
@@ -258,7 +260,7 @@ def asts_embedding_overrides(tmp_path, **extra):
 class TestRunInputs:
     def test_no_audit_records_without_an_audit_path(self, tmp_path, monkeypatch):
         built = []
-        for cls, name in ((CandidateScore, "__init__"), (ScoreBreakdown, "to_json_dict")):
+        for cls, name in ((CandidateScore, "__init__"), (ScoreBreakdown, "to_json_line")):
             original = cls.__dict__[name]
 
             def counting(*args, _original=original, _name=name, **kwargs):
@@ -270,7 +272,7 @@ class TestRunInputs:
         assert built == []
         assert all(r["audit"] == [] for r in records)
         cmd_generate(write_config(tmp_path, asts_embedding_overrides(tmp_path)), tmp_path / "audit.jsonl")
-        assert built.count("to_json_dict") == 4 * 10
+        assert built.count("to_json_line") == 4 * 10
         assert "__init__" not in built  # the audit is written from columns
 
     def test_embedding_table_built_once_per_run(self, tmp_path, monkeypatch):
@@ -322,6 +324,22 @@ class TestReplayModel:
         cmd_generate(write_config(tmp_path, overrides))
         obj = json.loads((tmp_path / "out.jsonl").read_text(encoding="utf-8"))
         assert obj["tokens"] == ["a", "b", "a", "b", "a"]
+
+    def test_next_wraps_the_loaded_rows_read_only(self, tmp_path):
+        steps = np.random.default_rng(3).random((4, 5)) * 7.0
+        steps[1, 2] = 0.0
+        path = tmp_path / "dist.json"
+        path.write_text(json.dumps({"tokens": list("abcde"), "steps": steps.tolist()}), encoding="utf-8")
+        model = build_model({"model": {"selector": f"file:{path}"}})
+        for step in range(6):
+            row = model.rows[step % 4]
+            dist = model.next(None, step)
+            assert dist.probs.tobytes() == row.tobytes()
+            assert dist.probs.tobytes() == TokenDistribution(model.vocab, row).probs.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                dist.probs[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            model.rows[0, 0] = 1.0
 
     def test_malformed_step_row(self, tmp_path):
         path = tmp_path / "dist.json"

@@ -123,13 +123,16 @@ def test_replay_model_score_equals_oracle_scorer(size, n_rows, row_seed, data):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_overflowing_scores_fail_like_the_checked_constructor(kind):
-    profile = LmProfile(kind=kind, base_temperature=1e-310, loop_gamma=2.0)
+@pytest.mark.parametrize("base_temperature", [1e-310, 5e-324])
+@pytest.mark.parametrize("history", [[1, 2], [7]])
+def test_overflowing_scores_fail_like_the_checked_constructor(kind, base_temperature, history):
+    # For "mixed", history [7] draws the 0.25 factor, so 5e-324 scales to 0.
+    profile = LmProfile(kind=kind, base_temperature=base_temperature, loop_gamma=2.0)
     vocab = _vocabulary(16)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         with pytest.raises(DistributionError):
-            oracle_next_distribution(profile, [1, 2], vocab)
+            oracle_next_distribution(profile, history, vocab)
         with pytest.raises(DistributionError, match="base_temperature"):
-            next_distribution(profile, [1, 2], vocab)
+            next_distribution(profile, history, vocab)
         with pytest.raises(DistributionError, match="base_temperature"):
-            token_probabilities(profile, [1, 2, 3], 16)
+            token_probabilities(profile, [*history, 3], 16)
