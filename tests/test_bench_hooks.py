@@ -75,6 +75,30 @@ def test_traced_run_calls_every_truncation_rule(tracer):
         assert traced.n_calls({name}) == 4, name
 
 
+def test_traced_report_calls_each_metric_once_per_sequence(tracer, tmp_path):
+    # A metric bound before the tracer patched its name would read 0 calls.
+    from decodekit.harness import cmd_metrics
+    from decodekit.metrics import REP_WINDOWS
+
+    config = tmp_path / "config.json"
+    config.write_text('{"model": {"selector": "synthetic:mixed"}}', encoding="utf-8")
+    generated, reference = tmp_path / "generated.txt", tmp_path / "reference.txt"
+    generated.write_text(
+        "tok001 tok002 tok003 tok001\ntok004 tok005 tok004 tok006 tok007\ntok008 tok009 tok010 tok011\n",
+        encoding="utf-8",
+    )
+    reference.write_text("tok012 tok013 tok014 tok015\n", encoding="utf-8")
+
+    traced = tracer.Tracer()
+    with traced.installed():
+        cmd_metrics(
+            generated, reference_path=reference, out_path=tmp_path / "report.json", config_path=config, fmt="text"
+        )
+    assert traced.n_calls({"metrics.perplexity"}) == 2  # generated and reference
+    assert traced.n_calls({"metrics.rep_l"}) == 3 * len(REP_WINDOWS)
+    assert traced.n_calls({"metrics.ngram_diversity"}) == 3
+
+
 @pytest.mark.parametrize("name", SAMPLER_NAMES)
 def test_traced_run_draws_once_per_token(tracer, name):
     # simlm.drive owns the only draw: every sampler, ASTS included, is a rule.

@@ -5,9 +5,12 @@ Each case runs ``cmd_generate`` on a fixed config and compares the SHA-256
 of the corpus (and, for ASTS runs, of the ``--audit`` file) with a digest
 recorded from an earlier commit. The report cases then score a generated
 corpus with ``cmd_metrics --config`` (same config, so the generating model
-scores it) and pin the report file, ``ppl`` included. A refactor that
-keeps behaviour keeps every digest; a change that moves one is a behaviour
-change and must be argued on its own.
+scores it) and pin the report file, ``ppl`` included. The sweep cases pin
+the ``cmd_sweep`` CSV of every metric name, and the uniform-report cases
+pin ``cmd_metrics`` without a config (JSON and CSV files, corpus read as
+JSON lines and as text). A refactor that keeps behaviour keeps every
+digest; a change that moves one is a behaviour change and must be argued
+on its own.
 """
 
 import hashlib
@@ -17,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from decodekit.harness import cmd_generate, cmd_metrics
+from decodekit.harness import cmd_generate, cmd_metrics, cmd_sweep
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -110,6 +113,28 @@ REPORT_DIGESTS = {
 }
 
 
+# metric -> sha256 of the cmd_sweep CSV for nucleus.p 0.5 and 0.9 on the
+# nucleus_v256 case at 64 tokens (so that rep32 and rep128 differ), two
+# replications per value so that metric_std is not 0.
+SWEEP_DIGESTS = {
+    "ppl": "ce524974b662080df0594a43be1d02f4a7fe0c2534ebdb067ab008eec55f9b99",
+    "rep16": "c415874e56694973bb98179c3be03e9d05157b047c296e5430192075e8b29629",
+    "rep32": "1f2ea3f12df811efdae52d57b4d93003d7fa3b3f9c41a193f197ce11b2c00e5e",
+    "rep128": "ad0014d09387ea492d601ccd1a65034b1bd87261b9e0dff7e653ea36bcb630a0",
+    "zipf": "f0318250009d84758fa1a497445cf8eb39aca9bd6eebf26e1a296b7f245ef49e",
+    "diversity": "48c41b280cd8092a61858dda22478d4f9833315b0cf5c557514449fb76f9b0d7",
+    "diversity_sum": "85aa6c8572564709cf448a2f4faf116f4e033d3f7b05ee8c033ecd0280893cad",
+}
+
+# (report sha256, csv sha256) of cmd_metrics without a config, so with the
+# uniform scorer over the observed tokens: nucleus_v256 against greedy_v256,
+# both at 64 tokens.
+UNIFORM_REPORT_DIGESTS = (
+    "11d9a48318c709b9f490510632c06302cfb431c629e2170f47bfab9c797cdccb",
+    "1d90597931c8d0816ba16489e338c65d06966b34b54d3b35cf6c7a2562ab7205",
+)
+
+
 def _replay_config(tmp_path: Path, sampler: str) -> dict:
     """An LTS or greedy run on a 48-token model replaying 12 random rows."""
     replay = tmp_path / "replay_model.json"
@@ -147,9 +172,9 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _generate(tmp_path: Path, case: str, audit: Path | None = None) -> tuple[Path, Path]:
-    """Run ``cmd_generate`` for ``case``; returns (config path, corpus path)."""
-    cfg = _case_config(case, tmp_path)
+def _generate(tmp_path: Path, case: str, audit: Path | None = None, **overrides) -> tuple[Path, Path]:
+    """Run ``cmd_generate`` for ``case`` (top-level entries ``overrides``); returns (config path, corpus path)."""
+    cfg = {**_case_config(case, tmp_path), **overrides}
     corpus = tmp_path / f"{case}.jsonl"
     cfg["output"] = {"corpus": str(corpus)}
     cfg_path = tmp_path / f"{case}.json"
@@ -182,3 +207,39 @@ def test_report_digest(tmp_path, monkeypatch, case):
     cmd_metrics(corpus, reference_path=reference, out_path=report, config_path=cfg_path)
 
     assert _sha256(report) == want
+
+
+@pytest.mark.parametrize("metric", sorted(SWEEP_DIGESTS))
+def test_sweep_digest(tmp_path, monkeypatch, metric):
+    monkeypatch.delenv("DECODE_SEED", raising=False)
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({**_case_config("nucleus_v256", tmp_path), "max_tokens": 64}), encoding="utf-8")
+    out = tmp_path / "sweep.csv"
+
+    cmd_sweep(cfg_path, param="nucleus.p", values=[0.5, 0.9], metric=metric, reps=2, out_path=out)
+
+    rows = out.read_text(encoding="utf-8").splitlines()[1:]
+    assert all(float(row.split(",")[2]) > 0.0 for row in rows)
+    assert _sha256(out) == SWEEP_DIGESTS[metric]
+
+
+def _as_text(corpus: Path) -> Path:
+    """The corpus as whitespace-separated token lines, for ``--format text``."""
+    text = corpus.with_suffix(".txt")
+    lines = [" ".join(json.loads(line)["tokens"]) for line in corpus.read_text(encoding="utf-8").splitlines()]
+    text.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return text
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "text"])
+def test_uniform_report_digest(tmp_path, monkeypatch, fmt):
+    monkeypatch.delenv("DECODE_SEED", raising=False)
+    corpus = _generate(tmp_path, "nucleus_v256", max_tokens=64)[1]
+    reference = _generate(tmp_path, "greedy_v256", max_tokens=64)[1]
+    if fmt == "text":
+        corpus, reference = _as_text(corpus), _as_text(reference)
+    report, csv = tmp_path / "report.json", tmp_path / "report.csv"
+
+    cmd_metrics(corpus, reference_path=reference, out_path=report, csv_path=csv, fmt=fmt)
+
+    assert (_sha256(report), _sha256(csv)) == UNIFORM_REPORT_DIGESTS
