@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import Counter, deque
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from json.encoder import encode_basestring
 
@@ -38,6 +39,9 @@ from decodekit.embed import EmbeddingTable, pool_rows
 from decodekit.lts import band_mask
 
 ADJUST_FORMS = ("example", "eq13")
+
+# exp(x) is finite for every x <= log(float max).
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class ProviderError(RuntimeError):
@@ -66,9 +70,6 @@ class GenerationContext:
 
     def push_entropy(self, h: float) -> None:
         self.entropy_window.append(float(h))
-
-    def freq_of(self, token_id: int) -> int:
-        return self.freq.get(int(token_id), 0)
 
     def __len__(self) -> int:
         return len(self.history)
@@ -126,9 +127,6 @@ class CandidateScore:
     reward: float
     adjusted_weight: float
     final_probability: float
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 # The per-candidate score fields of CandidateScore, in record order.
@@ -216,50 +214,6 @@ def dynamic_thresholds(h_t: float, sigma_h: float, k1: float, k2: float) -> tupl
     if k1 < 0 or k2 < 0:
         raise ValueError(f"threshold scale factors must be >= 0, got k1={k1}, k2={k2}")
     return h_t - k1 * sigma_h, h_t + k2 * sigma_h
-
-
-def coherence_score(surprisal_x: float, h_t: float) -> float:
-    """1 - |surprisal - entropy|; unclamped, so far-off tokens go negative."""
-    return 1.0 - abs(surprisal_x - h_t)
-
-
-def diversity_score(freq_x: int, eps_div: float) -> float:
-    if freq_x < 0:
-        raise ValueError(f"frequency must be >= 0, got {freq_x}")
-    if not eps_div > 0.0:
-        raise ValueError(f"eps_div must be > 0, got {eps_div}")
-    return 1.0 / (freq_x + eps_div)
-
-
-def composite_score(coherence: float, sa: float, diversity: float, cfg: AstsConfig) -> float:
-    return cfg.lambda1 * coherence + cfg.lambda2 * sa + cfg.lambda3 * diversity
-
-
-def repetition_penalty(freq_x: int, context_len: int) -> float:
-    """Share of the context occupied by the token; 0 for an empty context."""
-    if context_len < 0:
-        raise ValueError(f"context length must be >= 0, got {context_len}")
-    if context_len == 0:
-        return 0.0
-    return freq_x / context_len
-
-
-def reward(sa: float, relevance: float, rep: float, cfg: AstsConfig) -> float:
-    return cfg.mu1 * sa + cfg.mu2 * relevance - cfg.mu3 * rep
-
-
-def adjust_weight(p: float, s: float, r: float) -> float:
-    """Reweight a probability by exp(composite + reward)."""
-    if not p > 0.0:
-        raise ValueError(f"adjust_weight requires p > 0, got {p!r}")
-    return p * math.exp(s + r)
-
-
-def adjust_weight_reward_only(p: float, r: float) -> float:
-    """Alternative reweighting exp(reward - p); see AstsConfig.adjust_form."""
-    if not p > 0.0:
-        raise ValueError(f"adjust_weight requires p > 0, got {p!r}")
-    return p * math.exp(r - p)
 
 
 # --------------------------------------------------------------------------
@@ -441,11 +395,17 @@ def asts_step(
         exponent = comp + rew
     else:  # "eq13": reward-only exponent, shifted by the input probability
         exponent = rew - p_in
-    # The audit trail records the literal adjusted weights; normalisation
-    # subtracts the max exponent first so extreme scores cannot overflow.
-    adjusted = p_in * np.exp(exponent)
+    # The audit trail records the literal adjusted weights, inf where exp
+    # overflows; normalisation subtracts the max exponent first so extreme
+    # scores cannot overflow.
+    top = exponent.max()
+    if top > _LOG_FLOAT_MAX:
+        with np.errstate(over="ignore"):
+            adjusted = p_in * np.exp(exponent)
+    else:
+        adjusted = p_in * np.exp(exponent)
     stable = np.zeros(len(vocab), dtype=np.float64)
-    stable[ids] = p_in * np.exp(exponent - exponent.max())
+    stable[ids] = p_in * np.exp(exponent - top)
     normalized = normalize(vocab, stable, support=band)
     final = temperature_scale(normalized, cfg.temperature, support=band)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from decodekit import harness
+from decodekit import harness, metrics
 from decodekit.harness import ConfigError, DataError, MetricError
 
 
@@ -33,7 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="dotted config path to sweep (comma-separate several paths to move them together)",
     )
     sweep.add_argument("--values", required=True, help="comma-separated list of values")
-    sweep.add_argument("--metric", required=True, help=f"one of {', '.join(harness.METRIC_NAMES)}")
+    sweep.add_argument("--metric", required=True, help=f"one of {', '.join(metrics.METRICS)}")
     sweep.add_argument("--reps", type=int, default=1, help="replications per value (default 1)")
     sweep.add_argument("--out", required=True, help="output CSV path")
 

@@ -15,6 +15,7 @@ pool. The ``DECODE_SEED`` environment variable overrides the config seed.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import json
 import os
@@ -47,8 +48,6 @@ class DataError(ValueError):
 class MetricError(ValueError):
     """Valid inputs outside a metric's domain; CLI exit code 1."""
 
-
-METRIC_NAMES = ("ppl", "rep16", "rep32", "rep128", "zipf", "diversity", "diversity_sum")
 
 # base_temperature default per synthetic profile kind.
 KIND_TEMPERATURES = {"peaked": 0.3, "flat": 10.0, "mixed": 1.0, "loop_prone": 1.0}
@@ -546,28 +545,15 @@ def cmd_generate(config_path, audit_path=None) -> list[dict]:
     return records
 
 
-def _metric_value(cfg: dict, metric: str, records: list[dict], model) -> float:
-    corpus = SequenceCorpus(tuple(tuple(r["token_ids"]) for r in records), model.vocab)
+@contextlib.contextmanager
+def _metric_domain():
+    """Raise a metric's ValueError (valid inputs outside its domain) as MetricError."""
     try:
-        if metric.startswith("rep"):
-            l = int(metric[3:])
-            vals = [metrics.rep_l(s, l) for s in corpus.sequences]
-            return sum(vals) / len(vals)
-        if metric == "diversity":
-            vals = [metrics.ngram_diversity(s) for s in corpus.sequences]
-            return sum(vals) / len(vals)
-        if metric == "diversity_sum":
-            vals = [metrics.ngram_diversity(s) for s in corpus.sequences]
-            return 4.0 * sum(vals) / len(vals)
-        if metric == "zipf":
-            return metrics.zipf_coefficient(corpus, **cfg["zipf"])
-        if metric == "ppl":
-            return metrics.perplexity(corpus, model.score)
+        yield
     except ConfigError:
         raise
     except ValueError as exc:
         raise MetricError(str(exc)) from None
-    raise ConfigError(f"metric: unknown metric {metric!r}, expected one of {METRIC_NAMES}")
 
 
 @dataclass(frozen=True)
@@ -590,8 +576,8 @@ def cmd_sweep(config_path, param: str, values, metric: str, reps: int, out_path)
         raise ConfigError("param: at least one dotted config path required")
     if len(values) < 2:
         raise ConfigError(f"values: a sweep needs at least 2 values, got {len(values)}")
-    if metric not in METRIC_NAMES:
-        raise ConfigError(f"metric: unknown metric {metric!r}, expected one of {METRIC_NAMES}")
+    if metric not in metrics.METRICS:
+        raise ConfigError(f"metric: unknown metric {metric!r}, expected one of {tuple(metrics.METRICS)}")
     if reps < 1:
         raise ConfigError(f"reps: must be >= 1, got {reps}")
 
@@ -602,23 +588,22 @@ def cmd_sweep(config_path, param: str, values, metric: str, reps: int, out_path)
             set_by_path(cfg, path, value)
         cfg = _checked(cfg)
         model = build_model(cfg)
+        zipf = cfg["zipf"]
         samples = []
         for r in range(reps):
             run_cfg = dict(cfg, seed=cfg["seed"] + r * cfg["num_sequences"])
-            records = run_generation(run_cfg)
-            samples.append(_metric_value(cfg, metric, records, model))
+            corpus = SequenceCorpus(tuple(tuple(rec["token_ids"]) for rec in run_generation(run_cfg)), model.vocab)
+            scored = metrics.CorpusMetrics(corpus, model.score, zipf["min_rank"], zipf["max_rank"])
+            with _metric_domain():
+                samples.append(scored[metric])
         arr = np.asarray(samples, dtype=np.float64)
         rows.append(SweepRow(value=value, mean=float(arr.mean()), std=float(arr.std())))
 
     with _open_out(out_path) as fh:
         fh.write("param_value,metric_mean,metric_std\n")
         for row in rows:
-            fh.write(f"{_csv_cell(row.value)},{_csv_cell(row.mean)},{_csv_cell(row.std)}\n")
+            fh.write(",".join(map(metrics.csv_cell, (row.value, row.mean, row.std))) + "\n")
     return rows
-
-
-def _csv_cell(v) -> str:
-    return repr(v) if isinstance(v, float) else str(v)
 
 
 def _load_corpus_tokens(path, fmt: str) -> list[list[str]]:
@@ -688,14 +673,10 @@ def cmd_metrics(
 
     generated = to_corpus(gen_tokens, str(generated_path))
     reference = to_corpus(ref_tokens, str(reference_path)) if ref_tokens is not None else None
-    try:
+    with _metric_domain():
         rep = metrics.report(
             generated, scorer, reference, zipf_min_rank=zipf["min_rank"], zipf_max_rank=zipf["max_rank"]
         )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise MetricError(str(exc)) from None
     if out_path is not None:
         with _open_out(out_path) as fh:
             fh.write(rep.to_json())

@@ -4,13 +4,16 @@ A scorer (for perplexity) is a callable ``scorer(seq) -> per-position
 probabilities``, one value per token of ``seq``. Uniform and synthetic-LM
 scorers ship with the package; anything matching the callable contract
 works, which is also the hook for plugging in an external model.
+
+``METRICS`` defines each reported metric once, by name; ``report`` and the
+sweep command both read it.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -137,48 +140,71 @@ def ngram_diversity(seq) -> float:
     return sum(fractions) / 4.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class MetricsReport:
+    """A corpus's metrics in report order; the deltas are None without a reference."""
+
     ppl: float
+    ppl_delta: float | None = None
     rep16: float
     rep32: float
     rep128: float
     zipf: float
+    zipf_delta: float | None = None
     diversity: float
     diversity_sum: float
     sequence_count: int
     token_count: int
-    ppl_delta: float | None = None
-    zipf_delta: float | None = None
 
     def to_json_dict(self) -> dict:
-        out: dict = {"ppl": self.ppl}
-        if self.ppl_delta is not None:
-            out["ppl_delta"] = self.ppl_delta
-        out.update(rep16=self.rep16, rep32=self.rep32, rep128=self.rep128, zipf=self.zipf)
-        if self.zipf_delta is not None:
-            out["zipf_delta"] = self.zipf_delta
-        out.update(
-            diversity=self.diversity,
-            diversity_sum=self.diversity_sum,
-            sequence_count=self.sequence_count,
-            token_count=self.token_count,
-        )
-        return out
+        return {name: value for name, value in asdict(self).items() if value is not None}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
     def to_csv(self) -> str:
         d = self.to_json_dict()
-        header = ",".join(d.keys())
-        row = ",".join(repr(v) if isinstance(v, float) else str(v) for v in d.values())
-        return header + "\n" + row + "\n"
+        return ",".join(d.keys()) + "\n" + ",".join(map(csv_cell, d.values())) + "\n"
 
 
-def _mean_over_sequences(corpus: SequenceCorpus, fn) -> float:
-    values = [fn(seq) for seq in corpus.sequences]
+def csv_cell(value) -> str:
+    """A CSV cell: ``repr`` for a float, so that it reads back bit for bit."""
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _mean(values) -> float:
+    values = list(values)
     return sum(values) / len(values)
+
+
+class CorpusMetrics(dict):
+    """The metrics of one corpus under one scorer: ``self[name]`` runs
+    ``METRICS[name]`` on first lookup and keeps the value, so ``diversity_sum``
+    reuses ``diversity``. A metric outside its domain raises ``ValueError``.
+    """
+
+    def __init__(self, corpus: SequenceCorpus, scorer, zipf_min_rank: int = 1, zipf_max_rank: int | None = None):
+        super().__init__()
+        self.corpus = corpus
+        self.scorer = scorer
+        self.zipf_ranks = (zipf_min_rank, zipf_max_rank)
+
+    def __missing__(self, name: str) -> float:
+        self[name] = value = METRICS[name](self)
+        return value
+
+
+# The metric table, in report order: name -> metric(CorpusMetrics). Each entry
+# looks perplexity, rep_l and ngram_diversity up when it runs, so a caller
+# that rebinds them (a tracer) sees every call. diversity_sum sums the four
+# n-gram fractions instead of averaging them (scaling by 4 is exact).
+METRICS = {
+    "ppl": lambda m: perplexity(m.corpus, m.scorer),
+    **{f"rep{l}": lambda m, l=l: _mean(rep_l(s, l) for s in m.corpus.sequences) for l in REP_WINDOWS},
+    "zipf": lambda m: zipf_coefficient(m.corpus, *m.zipf_ranks),
+    "diversity": lambda m: _mean(ngram_diversity(s) for s in m.corpus.sequences),
+    "diversity_sum": lambda m: m["diversity"] * 4.0,
+}
 
 
 def report(
@@ -194,22 +220,15 @@ def report(
     measures the gap between generated and reference likelihoods under one
     model, matching how deviation-from-reference is usually reported.
     """
-    ppl = perplexity(generated, scorer)
-    reps = {l: _mean_over_sequences(generated, lambda s: rep_l(s, l)) for l in REP_WINDOWS}
-    zipf = zipf_coefficient(generated, min_rank=zipf_min_rank, max_rank=zipf_max_rank)
-    diversity = _mean_over_sequences(generated, ngram_diversity)
+    values = CorpusMetrics(generated, scorer, zipf_min_rank, zipf_max_rank)
+    table = {name: values[name] for name in METRICS}
     ppl_delta = zipf_delta = None
     if reference is not None:
-        ppl_delta = abs(ppl - perplexity(reference, scorer))
-        zipf_delta = abs(zipf - zipf_coefficient(reference, min_rank=zipf_min_rank, max_rank=zipf_max_rank))
+        ref = CorpusMetrics(reference, scorer, zipf_min_rank, zipf_max_rank)
+        ppl_delta = abs(table["ppl"] - ref["ppl"])
+        zipf_delta = abs(table["zipf"] - ref["zipf"])
     return MetricsReport(
-        ppl=ppl,
-        rep16=reps[16],
-        rep32=reps[32],
-        rep128=reps[128],
-        zipf=zipf,
-        diversity=diversity,
-        diversity_sum=diversity * 4.0,
+        **table,
         sequence_count=len(generated.sequences),
         token_count=generated.token_count,
         ppl_delta=ppl_delta,

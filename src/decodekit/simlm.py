@@ -89,7 +89,16 @@ def _weights(profile: LmProfile, suffix: tuple[int, ...], size: int) -> np.ndarr
     top = float(scores.max()) / temperature if temperature else math.inf
     if not math.isfinite(top):
         raise DistributionError(f"scores overflow at base_temperature {profile.base_temperature!r}")
-    return np.exp(scores / temperature - top)
+    # The lowest score can still overflow to -inf (a weight of 0) in the
+    # divide or the subtract, and numpy would warn. Above t = 1e-300 that
+    # takes a score beyond 8e7 in magnitude, while standard normal draws
+    # (numpy's stay below 14) plus log(loop_gamma) <= 710 never get there.
+    # Below it, Python floats overflow without a warning, so the lowest
+    # score tells exactly when to silence numpy.
+    if temperature >= 1e-300 or math.isfinite(float(scores.min()) / temperature - top):
+        return np.exp(scores / temperature - top)
+    with np.errstate(over="ignore"):
+        return np.exp(scores / temperature - top)
 
 
 def next_distribution(profile: LmProfile, ctx, vocab: Vocabulary) -> TokenDistribution:

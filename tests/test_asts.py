@@ -18,19 +18,23 @@ from decodekit.asts import (
     KeywordRelevance,
     MappedScores,
     ProviderError,
-    adjust_weight,
-    adjust_weight_reward_only,
     asts_step,
-    coherence_score,
-    composite_score,
-    diversity_score,
     dynamic_thresholds,
-    repetition_penalty,
-    reward,
     sigma_entropy,
 )
 from decodekit.core import Rng, TokenDistribution, Vocabulary, default_vocabulary, sample, surprisal
 from decodekit.embed import EmbeddingTable, context_embedding, cosine, load_table, synthetic_table
+from oracles import (
+    adjust_weight,
+    adjust_weight_reward_only,
+    candidate_to_json_dict,
+    coherence_score,
+    composite_score,
+    diversity_score,
+    freq_of,
+    repetition_penalty,
+    reward,
+)
 
 # Hand-computed reference tables for the seven-token fixture, over the four
 # band members (analyze, optimize, function, tasks).
@@ -181,9 +185,9 @@ class TestGenerationContext:
         for t in (3, 3, 5):
             ctx.append(t)
         assert len(ctx) == 3
-        assert ctx.freq_of(3) == 2
-        assert ctx.freq_of(5) == 1
-        assert ctx.freq_of(99) == 0
+        assert freq_of(ctx, 3) == 2
+        assert freq_of(ctx, 5) == 1
+        assert freq_of(ctx, 99) == 0
 
     def test_entropy_window_is_bounded(self):
         ctx = GenerationContext(window_w=4)
@@ -197,8 +201,8 @@ class TestGenerationContext:
 
     def test_seed_history_initialises_freq(self):
         ctx = GenerationContext(history=[1, 1, 2])
-        assert ctx.freq_of(1) == 2
-        assert ctx.freq_of(2) == 1
+        assert freq_of(ctx, 1) == 2
+        assert freq_of(ctx, 2) == 1
 
     @given(st.lists(st.integers(0, 30), max_size=200))
     def test_freq_equals_brute_force_recount(self, tokens):
@@ -516,7 +520,7 @@ class TestStepColumnsEqualScalarFormulas:
 
         h = bd.entropy
         for c in bd.candidates:
-            freq = before.freq_of(c.token_id)
+            freq = freq_of(before, c.token_id)
             assert c.probability_in == dist.prob(c.token_id)
             assert c.surprisal == surprisal(dist, c.token_id)
             assert c.coherence == coherence_score(c.surprisal, h)
@@ -524,4 +528,4 @@ class TestStepColumnsEqualScalarFormulas:
             assert c.repetition_penalty == repetition_penalty(freq, len(before))
             assert c.composite == composite_score(c.coherence, c.semantic_alignment, c.diversity, cfg)
             assert c.reward == reward(c.semantic_alignment, c.relevance, c.repetition_penalty, cfg)
-        assert bd.to_json_dict(bd.token_ids[0])["candidates"] == [c.to_json_dict() for c in bd.candidates]
+        assert bd.to_json_dict(bd.token_ids[0])["candidates"] == [candidate_to_json_dict(c) for c in bd.candidates]

@@ -118,10 +118,9 @@ def test_audit_with_infinite_weights_equals_the_oracle_writer(tmp_path, monkeypa
     }
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
-    with np.errstate(over="ignore"):
-        harness.cmd_generate(cfg_path, tmp_path / "audit.jsonl")
-        monkeypatch.setattr(ScoreBreakdown, "to_json_line", oracle_line)
-        harness.cmd_generate(cfg_path, tmp_path / "oracle.jsonl")
+    harness.cmd_generate(cfg_path, tmp_path / "audit.jsonl")
+    monkeypatch.setattr(ScoreBreakdown, "to_json_line", oracle_line)
+    harness.cmd_generate(cfg_path, tmp_path / "oracle.jsonl")
     audit = (tmp_path / "audit.jsonl").read_bytes()
     assert b'"adjusted_weight": Infinity' in audit
     assert audit == (tmp_path / "oracle.jsonl").read_bytes()

@@ -31,8 +31,9 @@ def run_config(tmp_path):
     )
 
 
-def tiny_temperature_config(tmp_path, workers=1):
+def tiny_temperature_config(tmp_path, workers=1, synthetic=None):
     """A peaked model whose scores overflow: base_temperature far below any score scale."""
+    synthetic = {"vocab_size": 16, "base_temperature": 1e-310, **(synthetic or {})}
     return write_json(
         tmp_path / "tiny.json",
         {
@@ -40,7 +41,7 @@ def tiny_temperature_config(tmp_path, workers=1):
             "max_tokens": 4,
             "num_sequences": 2,
             "workers": workers,
-            "model": {"selector": "synthetic:peaked", "synthetic": {"vocab_size": 16, "base_temperature": 1e-310}},
+            "model": {"selector": "synthetic:peaked", "synthetic": synthetic},
             "output": {"corpus": str(tmp_path / "out.jsonl")},
         },
     )
@@ -249,20 +250,48 @@ class TestGoldenCommand:
         assert len(passes) == 20
 
 
+def run_cli(*args) -> subprocess.CompletedProcess:
+    """``python -m decodekit.cli *args`` in a fresh interpreter, so stderr shows numpy's warnings."""
+    src = os.path.dirname(os.path.dirname(decodekit.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "decodekit.cli", *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+# model.synthetic entries: the top score overflows at the first step; or the
+# lowest score overflows (a harmless weight of 0) in steps before the top does.
+@pytest.mark.parametrize(
+    "synthetic", [{"base_temperature": 1e-310}, {"seed": 1, "base_temperature": 1e-308}], ids=["top", "low"]
+)
 @pytest.mark.parametrize("command", ["generate", "metrics"])
-def test_overflowing_base_temperature_prints_no_warning(tmp_path, command):
-    """The config error is the only line on stderr: numpy never divides into an overflow."""
-    cfg = tiny_temperature_config(tmp_path)
+def test_overflowing_base_temperature_prints_no_warning(tmp_path, command, synthetic):
+    """The config error is the only line on stderr: numpy never warns of an overflow."""
+    cfg = tiny_temperature_config(tmp_path, synthetic=synthetic)
     args = ["generate", "--config", cfg]
     if command == "metrics":
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text('{"tokens": ["tok001", "tok002", "tok003"]}\n', encoding="utf-8")
         args = ["metrics", "--generated", str(corpus), "--out", str(tmp_path / "r.json"), "--config", cfg]
-    src = os.path.dirname(os.path.dirname(decodekit.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "decodekit.cli", *args], capture_output=True, text=True, env=env, timeout=120
-    )
+    proc = run_cli(*args)
     assert proc.returncode == 2
     assert proc.stderr.startswith("config error: model.synthetic.base_temperature")
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_overflowing_asts_weight_prints_no_warning(tmp_path):
+    # eps_div 1e-300 makes an unseen token's adjusted weight overflow to
+    # Infinity; the run succeeds and audits it, with nothing on stderr.
+    cfg = write_json(
+        tmp_path / "run.json",
+        {
+            "sampler": "asts",
+            "model": {"selector": "synthetic:mixed", "synthetic": {"vocab_size": 32}},
+            "asts": {"eps_div": 1e-300},
+            "output": {"corpus": str(tmp_path / "out.jsonl")},
+        },
+    )
+    proc = run_cli("generate", "--config", cfg, "--audit", str(tmp_path / "audit.jsonl"))
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert '"adjusted_weight": Infinity' in (tmp_path / "audit.jsonl").read_text(encoding="utf-8")
