@@ -183,7 +183,7 @@ class CorpusMetrics(dict):
     reuses ``diversity``. A metric outside its domain raises ``ValueError``.
     """
 
-    def __init__(self, corpus: SequenceCorpus, scorer, zipf_min_rank: int = 1, zipf_max_rank: int | None = None):
+    def __init__(self, corpus: SequenceCorpus, scorer, zipf_min_rank: int, zipf_max_rank: int | None):
         super().__init__()
         self.corpus = corpus
         self.scorer = scorer
