@@ -12,14 +12,16 @@ Semantic alignment and relevance come from pluggable providers: callables
 ``provider(ctx, candidate_ids) -> sequence of floats``. Built-ins cover the
 embedding-cosine alignment, a constant-zero ablation and keyword overlap.
 
-A step works on whole candidate arrays, and each array operation is chosen
-to give bit for bit the float that the scalar formula below it gives, so
-vectorising moves no output digest. Dot products and norms use
-``np.vecdot``, which matches ``np.dot``/``np.linalg.norm`` row by row; a
-matrix product (``M @ v``), ``einsum`` or ``(M * v).sum(1)`` rounds
-differently and must not replace it. Logarithms of single probabilities
-use ``math.log``, because ``np.log`` differs from it in the last bit on a
-few inputs.
+A step works on whole candidate arrays, renormalisation and temperature
+included, and each array operation is chosen to give bit for bit the float
+that the scalar formula below it gives, so vectorising moves no output
+digest. The two renormalising totals are taken dense, as ``core``
+requires, so the final distribution equals the one a size-V computation
+gives. Dot products and norms use ``np.vecdot``, which matches
+``np.dot``/``np.linalg.norm`` row by row; a matrix product (``M @ v``),
+``einsum`` or ``(M * v).sum(1)`` rounds differently and must not replace
+it. Logarithms of single probabilities use ``math.log``, because
+``np.log`` differs from it in the last bit on a few inputs.
 """
 
 from __future__ import annotations
@@ -34,14 +36,26 @@ from json.encoder import encode_basestring
 
 import numpy as np
 
-from decodekit.core import TokenDistribution, Vocabulary, entropy, normalize, temperature_scale
+from decodekit.core import (
+    DistributionError,
+    TokenDistribution,
+    Vocabulary,
+    entropy,
+    normalized_weights,
+    scattered_distribution,
+    tempered_weights,
+)
 from decodekit.embed import EmbeddingTable, pool_rows
-from decodekit.lts import band_mask
+from decodekit.lts import band_ids
 
 ADJUST_FORMS = ("example", "eq13")
 
 # exp(x) is finite for every x <= log(float max).
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+# Every positive double q has |ln q| <= 745, so at T >= this bound
+# ln(q) / T stays finite and so does every tempered candidate exponent.
+MIN_TEMPERATURE = 1e-300
 
 
 class ProviderError(RuntimeError):
@@ -96,12 +110,15 @@ class AstsConfig:
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"asts.{name} must be finite and >= 0, got {v!r}")
-        if not (math.isfinite(self.temperature) and self.temperature > 0.0):
-            raise ValueError(f"asts.temperature must be positive, got {self.temperature!r}")
+        if not (math.isfinite(self.temperature) and self.temperature >= MIN_TEMPERATURE):
+            raise ValueError(
+                f"asts.temperature must be finite and >= {MIN_TEMPERATURE!r}, got {self.temperature!r}"
+            )
         if self.window_w < 1:
             raise ValueError(f"asts.window_w must be >= 1, got {self.window_w}")
-        if not self.eps_div > 0.0:
-            raise ValueError(f"asts.eps_div must be > 0, got {self.eps_div!r}")
+        # From the smallest normal float up, 1 / (freq + eps_div) is finite.
+        if not self.eps_div >= sys.float_info.min:
+            raise ValueError(f"asts.eps_div must be >= {sys.float_info.min!r}, got {self.eps_div!r}")
         if not (math.isfinite(self.sigma_prior) and self.sigma_prior >= 0.0):
             raise ValueError(f"asts.sigma_prior must be finite and >= 0, got {self.sigma_prior!r}")
         if self.adjust_form not in ADJUST_FORMS:
@@ -203,10 +220,15 @@ def _json_floats(values: list[float]):
 
 def sigma_entropy(entropy_window, sigma_prior: float) -> float:
     """Population std of the recent step entropies; prior before 2 entries."""
-    window = list(entropy_window)
-    if len(window) < 2:
+    n = len(entropy_window)
+    if n < 2:
         return float(sigma_prior)
-    return float(np.std(np.asarray(window, dtype=np.float64)))
+    # The steps of np.std (mean, squared deviations, mean), without its
+    # overhead; math.sqrt rounds correctly as np.sqrt does, so the value is
+    # bit-equal.
+    a = np.array(entropy_window, dtype=np.float64)
+    d = a - a.sum() / n
+    return math.sqrt((d * d).sum() / n)
 
 
 def dynamic_thresholds(h_t: float, sigma_h: float, k1: float, k2: float) -> tuple[float, float]:
@@ -332,10 +354,12 @@ def _provider_values(name: str, provider, ctx, candidate_ids, vocab: Vocabulary)
         raise ProviderError(
             f"{name} provider returned shape {vals.shape}, expected ({len(candidate_ids)},)"
         )
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        token = vocab.tokens[candidate_ids[int(bad[0])]]
-        raise ProviderError(f"{name} provider returned a non-finite score for token {token!r}")
+    # A finite sum means every value is finite (see _json_floats).
+    if not math.isfinite(vals.sum()):
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            token = vocab.tokens[candidate_ids[int(bad[0])]]
+            raise ProviderError(f"{name} provider returned a non-finite score for token {token!r}")
     return vals
 
 
@@ -363,8 +387,7 @@ def asts_step(
     h = entropy(dist)
     sigma = sigma_entropy(ctx.entropy_window, cfg.sigma_prior)
     alpha, beta = dynamic_thresholds(h, sigma, cfg.k1, cfg.k2)
-    band = band_mask(dist, alpha, beta)
-    ids = np.flatnonzero(band)
+    ids = band_ids(dist, alpha, beta)
     candidate_ids = ids.tolist()
 
     p_in = dist.probs[ids]
@@ -397,17 +420,19 @@ def asts_step(
         exponent = rew - p_in
     # The audit trail records the literal adjusted weights, inf where exp
     # overflows; normalisation subtracts the max exponent first so extreme
-    # scores cannot overflow.
+    # scores cannot overflow. p_in is positive, so every shifted weight is
+    # finite and nonnegative exactly when the max exponent is finite.
     top = exponent.max()
+    if not math.isfinite(top):
+        raise DistributionError("weights must be finite")
     if top > _LOG_FLOAT_MAX:
         with np.errstate(over="ignore"):
             adjusted = p_in * np.exp(exponent)
     else:
         adjusted = p_in * np.exp(exponent)
-    stable = np.zeros(len(vocab), dtype=np.float64)
-    stable[ids] = p_in * np.exp(exponent - top)
-    normalized = normalize(vocab, stable, support=band)
-    final = temperature_scale(normalized, cfg.temperature, support=band)
+    dense = np.zeros(len(vocab), dtype=np.float64)
+    q = normalized_weights(dense, ids, p_in * np.exp(exponent - top))
+    final = scattered_distribution(vocab, dense, ids, tempered_weights(q, cfg.temperature))
 
     columns = dict(
         zip(

@@ -8,9 +8,10 @@ Truncation rules keep a boolean mask of tokens and renormalise with
 ``restrict``. Two rules keep their output bit-identical to ranking the
 whole support with a stable sort:
 
-- The renormalising total is always the dense ``sum()`` of the masked
-  probability vector, never ``probs[ids].sum()``: numpy sums pairwise, so a
-  total over the kept ids alone can differ in the last bit.
+- A renormalising total is always taken dense: scatter the kept values
+  into a zero vector of size V, then ``.sum()``. Never ``values.sum()`` over
+  the kept ids alone: numpy sums pairwise, so a total over a shorter array
+  groups the values differently and can differ in the last bit.
 - Ties go to the lowest token id. ``top_mask`` finds the n-th largest
   probability with ``np.partition`` and fills its remaining places from the
   tokens equal to it in ascending id order; a rank by any other key (LTS
@@ -184,6 +185,55 @@ def _support_mask(size: int, support) -> np.ndarray:
     return mask
 
 
+def _support_ids(size: int, support) -> np.ndarray:
+    """Ascending ids of ``support`` (see ``_support_mask``); every id when it is None."""
+    if support is None:
+        return np.arange(size)
+    return np.flatnonzero(_support_mask(size, support))
+
+
+def normalized_weights(dense: np.ndarray, ids: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``w / total`` for the weights ``w`` of the tokens ``ids``.
+
+    ``dense`` is a zero vector of vocabulary size; ``w`` is scattered into it
+    and the total is its dense ``sum()``. The total must be positive and
+    finite. ``dense`` is left holding ``w``.
+    """
+    dense[ids] = w
+    total = dense.sum()
+    if total <= 0.0:
+        raise DistributionError("cannot normalise: total weight over support is zero")
+    if not np.isfinite(total):
+        raise DistributionError("cannot normalise: total weight overflows")
+    return w / total
+
+
+def tempered_weights(q: np.ndarray, temperature: float) -> np.ndarray:
+    """Unnormalised ``q ** (1/T)``: ``exp(log q / T - max)``, 0 where ``q`` is 0.
+
+    Computed in log space so extreme temperatures neither underflow nor
+    overflow the largest weight, which is exactly 1.
+    """
+    pos = q > 0.0
+    if not pos.any():
+        raise DistributionError("temperature_scale: support carries no probability mass")
+    # log is taken only where q > 0; every other entry stays -inf.
+    logq = np.log(q, where=pos, out=np.full_like(q, -np.inf))
+    scaled = logq / temperature
+    scaled -= scaled[pos].max()
+    return np.exp(scaled, where=np.isfinite(scaled), out=np.zeros_like(scaled))
+
+
+def scattered_distribution(vocab: Vocabulary, dense: np.ndarray, ids: np.ndarray, w: np.ndarray) -> TokenDistribution:
+    """The distribution proportional to the weights ``w`` of the tokens ``ids``.
+
+    ``dense`` is a vocabulary-size vector that is zero outside ``ids``; ``w``
+    is scattered into it and the result is ``dense`` over its dense sum.
+    """
+    dense[ids] = w
+    return TokenDistribution._checked_by_caller(vocab, dense / dense.sum())
+
+
 def normalize(vocab: Vocabulary, weights, support=None) -> TokenDistribution:
     """Normalise nonnegative weights into a distribution restricted to ``support``.
 
@@ -198,14 +248,10 @@ def normalize(vocab: Vocabulary, weights, support=None) -> TokenDistribution:
         raise DistributionError("weights must be finite")
     if np.any(w < 0.0):
         raise DistributionError("weights must be nonnegative")
-    if support is not None:
-        w = np.where(_support_mask(len(vocab), support), w, 0.0)
-    total = w.sum()
-    if total <= 0.0:
-        raise DistributionError("cannot normalise: total weight over support is zero")
-    if not np.isfinite(total):
-        raise DistributionError("cannot normalise: total weight overflows")
-    return TokenDistribution._checked_by_caller(vocab, w / total)
+    ids = _support_ids(len(vocab), support)
+    dense = np.zeros(len(vocab), dtype=np.float64)
+    dense[ids] = normalized_weights(dense, ids, w[ids])
+    return TokenDistribution._checked_by_caller(vocab, dense)
 
 
 def restrict(dist: TokenDistribution, keep: np.ndarray) -> TokenDistribution:
@@ -246,24 +292,15 @@ def mass_count(ranked: np.ndarray, mass: float) -> int:
 def temperature_scale(dist: TokenDistribution, temperature: float, support=None) -> TokenDistribution:
     """Sharpen or flatten ``dist`` by exponent 1/T over ``support``.
 
-    Computed in log space so extreme temperatures neither underflow nor
-    overflow; T = 1 with full support reproduces the input distribution.
-    Rank order within the support is preserved for every T > 0.
+    Computed in log space (``tempered_weights``); T = 1 with full support
+    reproduces the input distribution. Rank order within the support is
+    preserved for every T > 0.
     """
     if not (temperature > 0.0 and math.isfinite(temperature)):
         raise ValueError(f"temperature must be positive and finite, got {temperature!r}")
-    p = dist.probs
-    if support is not None:
-        p = np.where(_support_mask(len(dist), support), p, 0.0)
-    pos = p > 0.0
-    if not np.any(pos):
-        raise DistributionError("temperature_scale: support carries no probability mass")
-    # log is taken only where p > 0; every other entry stays -inf.
-    logp = np.log(p, where=pos, out=np.full_like(p, -np.inf))
-    scaled = logp / temperature
-    scaled -= scaled[pos].max()
-    w = np.exp(scaled, where=np.isfinite(scaled), out=np.zeros_like(scaled))
-    return TokenDistribution._checked_by_caller(dist.vocab, w / w.sum())
+    ids = _support_ids(len(dist), support)
+    w = tempered_weights(dist.probs[ids], temperature)
+    return scattered_distribution(dist.vocab, np.zeros(len(dist), dtype=np.float64), ids, w)
 
 
 @dataclass

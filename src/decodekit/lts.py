@@ -43,8 +43,8 @@ def _deviations(dist: TokenDistribution) -> tuple[np.ndarray, np.ndarray, float]
     return ids, surp, entropy(dist)
 
 
-def band_mask(dist: TokenDistribution, alpha: float, beta: float) -> np.ndarray:
-    """Mask of the tokens with surprisal in [alpha, beta].
+def band_ids(dist: TokenDistribution, alpha: float, beta: float) -> np.ndarray:
+    """Ascending ids of the tokens with surprisal in [alpha, beta].
 
     An empty band falls back to the singleton of minimal typicality
     deviation (ties broken by lowest token id) so downstream samplers
@@ -54,11 +54,16 @@ def band_mask(dist: TokenDistribution, alpha: float, beta: float) -> np.ndarray:
         raise ValueError(f"band bounds out of order: alpha={alpha} > beta={beta}")
     ids, surp, h = _deviations(dist)
     inside = (surp >= alpha) & (surp <= beta)
-    keep = np.zeros(len(dist), dtype=bool)
     if inside.any():
-        keep[ids] = inside
-    else:
-        keep[ids[np.argmin(np.abs(surp - h))]] = True  # argmin returns the lowest id on ties
+        return ids[inside]
+    best = int(np.argmin(np.abs(surp - h)))  # argmin returns the lowest id on ties
+    return ids[best : best + 1]
+
+
+def band_mask(dist: TokenDistribution, alpha: float, beta: float) -> np.ndarray:
+    """Boolean mask of ``band_ids``."""
+    keep = np.zeros(len(dist), dtype=bool)
+    keep[band_ids(dist, alpha, beta)] = True
     return keep
 
 

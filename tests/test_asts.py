@@ -1,6 +1,7 @@
 """ASTS scoring ops, providers, and the five-stage pipeline step."""
 
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -164,14 +165,19 @@ class TestConfig:
             ("lambda2", float("nan")),
             ("mu3", -1.0),
             ("temperature", 0.0),
+            ("temperature", 1e-310),
             ("window_w", 0),
             ("eps_div", 0.0),
+            ("eps_div", 1e-310),
             ("sigma_prior", -0.5),
         ],
     )
     def test_invalid_fields_name_the_key(self, field, value):
         with pytest.raises(ValueError, match=f"asts.{field}"):
             AstsConfig(**{field: value})
+
+    def test_smallest_temperature_and_eps_div_accepted(self):
+        AstsConfig(temperature=1e-300, eps_div=sys.float_info.min)
 
     def test_adjust_form_whitelist(self):
         with pytest.raises(ValueError, match="adjust_form"):

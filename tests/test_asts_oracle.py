@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from decodekit import asts, core
+from decodekit import asts, core, lts
 from decodekit.asts import AstsConfig, ConstantScores, GenerationContext, KeywordRelevance, MappedScores
 from decodekit.core import TokenDistribution, default_vocabulary
 
@@ -136,6 +136,18 @@ def test_normalize_and_temperature_scale_equal_dense_oracle(size, seed, data):
     old = _outcome(oracles.temperature_scale, dist, t, support)
     if isinstance(new, TokenDistribution):
         assert new.probs.tobytes() == old.probs.tobytes()
+    else:
+        assert new == old
+
+
+@settings(max_examples=300, deadline=None)
+@given(distributions(), st.floats(-5.0, 800.0), st.floats(-5.0, 800.0))
+def test_band_ids_equal_dense_mask(dist, alpha, beta):
+    new = _outcome(lts.band_ids, dist, alpha, beta)
+    old = _outcome(oracles.band_mask, dist, alpha, beta)
+    if isinstance(old, np.ndarray):
+        assert new.tolist() == np.flatnonzero(old).tolist()
+        assert lts.band_mask(dist, alpha, beta).tobytes() == old.tobytes()
     else:
         assert new == old
 

@@ -295,3 +295,22 @@ def test_overflowing_asts_weight_prints_no_warning(tmp_path):
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert '"adjusted_weight": Infinity' in (tmp_path / "audit.jsonl").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("field", ["temperature", "eps_div"])
+def test_subnormal_asts_field_is_a_config_error(tmp_path, field):
+    """Below their bounds these fields would give NaN or infinite ASTS weights; the run stops at the config."""
+    cfg = write_json(
+        tmp_path / "run.json",
+        {
+            "sampler": "asts",
+            "max_tokens": 12,
+            "model": {"selector": "synthetic:mixed", "synthetic": {"vocab_size": 32}},
+            "asts": {field: 1e-310},
+            "output": {"corpus": str(tmp_path / "out.jsonl")},
+        },
+    )
+    proc = run_cli("generate", "--config", cfg, "--audit", str(tmp_path / "audit.jsonl"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"config error: asts.{field}")
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
