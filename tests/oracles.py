@@ -3,7 +3,8 @@
 ``asts.asts_step`` computes every score on whole candidate arrays. The
 scalar formulas below are the same scores one candidate at a time, kept
 here so the tests can check each column against them with an exact ``==``.
-The second half keeps the dense-vector ASTS step and its helpers.
+The second part keeps the dense-vector ASTS step and its helpers, and the
+third the truncation rules that kept a boolean mask over the vocabulary.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from decodekit.asts import (
     ScoreBreakdown,
     dynamic_thresholds,
 )
-from decodekit.core import DistributionError, TokenDistribution, Vocabulary, _support_mask, entropy
+from decodekit.core import DistributionError, TokenDistribution, Vocabulary, _support_mask, entropy, mass_count
 from decodekit.lts import _deviations
 
 
@@ -253,3 +254,73 @@ def asts_step(
         entropy=h, sigma=sigma, alpha=alpha, beta=beta, vocab=vocab, token_ids=candidate_ids, columns=columns
     )
     return final, breakdown
+
+
+# --------------------------------------------------------------------------
+# The truncation rules as they were when each one kept a boolean mask over
+# the vocabulary and renormalised it through ``np.where``. The live rules
+# keep token ids and must give the same bytes.
+
+
+def restrict(dist: TokenDistribution, keep: np.ndarray) -> TokenDistribution:
+    """``dist`` renormalised over the tokens the boolean mask ``keep`` selects."""
+    w = np.where(keep, dist.probs, 0.0)
+    return TokenDistribution._checked_by_caller(dist.vocab, w / w.sum())
+
+
+def top_mask(dist: TokenDistribution, n: int) -> np.ndarray:
+    """Mask of the ``n >= 1`` most probable tokens, ties to the lowest id.
+
+    Fewer than ``n`` tokens of positive probability are all kept.
+    """
+    p = dist.probs
+    pos = p.size - min(n, p.size)
+    cut = np.partition(p, pos)[pos]
+    if cut <= 0.0:
+        return p > 0.0
+    keep = p > cut
+    keep[np.flatnonzero(p == cut)[: n - np.count_nonzero(keep)]] = True
+    return keep
+
+
+def greedy_restrict(dist: TokenDistribution) -> TokenDistribution:
+    keep = np.zeros(len(dist), dtype=bool)
+    keep[np.argmax(dist.probs)] = True  # argmax returns the lowest id on ties
+    return restrict(dist, keep)
+
+
+def topk_restrict(dist: TokenDistribution, k: int) -> TokenDistribution:
+    return restrict(dist, top_mask(dist, k))
+
+
+def nucleus_restrict(dist: TokenDistribution, p: float) -> TokenDistribution:
+    descending = np.sort(dist.probs)[::-1]
+    return restrict(dist, top_mask(dist, mass_count(descending, p)))
+
+
+def mirostat_step(dist: TokenDistribution, state) -> TokenDistribution:
+    ids = dist.support()
+    keep = np.zeros(len(dist), dtype=bool)
+    keep[ids] = -np.log(dist.probs[ids]) <= state.mu
+    if not keep.any():
+        return greedy_restrict(dist)
+    return restrict(dist, keep)
+
+
+def typical_set_band(dist: TokenDistribution, alpha: float, beta: float) -> TokenDistribution:
+    return restrict(dist, band_mask(dist, alpha, beta))
+
+
+def typical_set_mass(dist: TokenDistribution, tau: float) -> TokenDistribution:
+    if not 0.0 < tau <= 1.0:
+        raise ValueError(f"tau must lie in (0, 1], got {tau}")
+    ids, surp, h = _deviations(dist)
+    dev = np.abs(surp - h)
+    order = np.argsort(dev)
+    ranked = dev[order]
+    if np.any(ranked[1:] == ranked[:-1]):
+        order = np.argsort(dev, kind="stable")  # ids ascend, so ties keep id order
+    ranked_ids = ids[order]
+    keep = np.zeros(len(dist), dtype=bool)
+    keep[ranked_ids[: mass_count(dist.probs[ranked_ids], tau)]] = True
+    return restrict(dist, keep)

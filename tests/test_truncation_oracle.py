@@ -6,6 +6,9 @@ tie fallback for LTS mass) and renormalise with ``core.restrict``. The
 oracles below rank the positive support with ``np.lexsort`` (descending
 probability or ascending deviation, ties by ascending id) and renormalise
 with the checked ``normalize``; every rule must give the same bytes.
+
+Every rule, greedy, Mirostat and LTS band included, is also compared with
+its copy in ``oracles`` that keeps a boolean mask over the vocabulary.
 """
 
 import functools
@@ -16,8 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from decodekit import harness, lts
-from decodekit.baselines import nucleus_restrict, topk_restrict
+from decodekit.baselines import MirostatState, greedy_restrict, mirostat_step, nucleus_restrict, topk_restrict
 from decodekit.core import default_vocabulary, entropy, normalize
 from decodekit.lts import typical_set_mass
 
@@ -92,6 +96,60 @@ def test_nucleus_equals_lexsort_oracle(dist, data):
 def test_lts_mass_equals_lexsort_oracle(dist, data):
     tau = _masses(data, dist, _by_deviation(dist))
     assert typical_set_mass(dist, tau).probs.tobytes() == oracle_mass(dist, tau).probs.tobytes()
+
+
+def _surprisal_levels(dist):
+    """The distinct surprisals of the support, ascending."""
+    return np.unique(-np.log(dist.probs[dist.support()])).tolist()
+
+
+def _band_edges(data, dist):
+    """(alpha, beta): exact surprisals, points between them and beyond them, so empty bands occur."""
+    levels = _surprisal_levels(dist)
+    between = [(a + b) / 2 for a, b in zip(levels, levels[1:])]
+    edges = levels + between + [levels[0] - 1.0, levels[-1] + 1.0, entropy(dist)]
+    alpha, beta = sorted(data.draw(st.lists(st.sampled_from(edges), min_size=2, max_size=2)))
+    return alpha, beta
+
+
+def _mirostat_state(data, dist):
+    """A budget from below the smallest surprisal (the argmax rescue) to above the largest."""
+    levels = _surprisal_levels(dist)
+    low, high = levels[0] - 1.0, levels[-1] + 1.0
+    mu = data.draw(st.one_of(st.sampled_from([low, *levels, high]), st.floats(low, high)))
+    return (MirostatState(mu=mu),)
+
+
+# rule -> (live rule, mask oracle, draw of the arguments after dist)
+MASK_RULES = {
+    "greedy": (greedy_restrict, oracles.greedy_restrict, lambda data, dist: ()),
+    "topk": (
+        topk_restrict,
+        oracles.topk_restrict,
+        lambda data, dist: (data.draw(st.integers(1, len(dist) + 5)),),
+    ),
+    "nucleus": (
+        nucleus_restrict,
+        oracles.nucleus_restrict,
+        lambda data, dist: (_masses(data, dist, _by_probability(dist)),),
+    ),
+    "mirostat": (mirostat_step, oracles.mirostat_step, _mirostat_state),
+    "lts_band": (lts.typical_set_band, oracles.typical_set_band, _band_edges),
+    "lts_mass": (
+        typical_set_mass,
+        oracles.typical_set_mass,
+        lambda data, dist: (_masses(data, dist, _by_deviation(dist)),),
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(MASK_RULES))
+@settings(max_examples=200, deadline=None)
+@given(tie_heavy(), st.data())
+def test_rule_equals_mask_oracle(rule, dist, data):
+    live, oracle, draw_args = MASK_RULES[rule]
+    args = draw_args(data, dist)
+    assert live(dist, *args).probs.tobytes() == oracle(dist, *args).probs.tobytes()
 
 
 # One tie-heavy replay run per rule: the rule in the pipeline against its oracle.
