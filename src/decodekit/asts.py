@@ -37,6 +37,7 @@ from json.encoder import encode_basestring
 import numpy as np
 
 from decodekit.core import (
+    MIN_TEMPERATURE,
     DistributionError,
     TokenDistribution,
     Vocabulary,
@@ -52,10 +53,6 @@ ADJUST_FORMS = ("example", "eq13")
 
 # exp(x) is finite for every x <= log(float max).
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
-
-# Every positive double q has |ln q| <= 745, so at T >= this bound
-# ln(q) / T stays finite and so does every tempered candidate exponent.
-_MIN_TEMPERATURE = 1e-300
 
 
 class ProviderError(RuntimeError):
@@ -110,9 +107,9 @@ class AstsConfig:
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0.0):
                 raise ValueError(f"asts.{name} must be finite and >= 0, got {v!r}")
-        if not (math.isfinite(self.temperature) and self.temperature >= _MIN_TEMPERATURE):
+        if not (math.isfinite(self.temperature) and self.temperature >= MIN_TEMPERATURE):
             raise ValueError(
-                f"asts.temperature must be finite and >= {_MIN_TEMPERATURE!r}, got {self.temperature!r}"
+                f"asts.temperature must be finite and >= {MIN_TEMPERATURE!r}, got {self.temperature!r}"
             )
         if self.window_w < 1:
             raise ValueError(f"asts.window_w must be >= 1, got {self.window_w}")

@@ -32,6 +32,10 @@ ENTROPY_FLOOR = 1e-12
 # A distribution must sum to 1 within this tolerance to be accepted.
 SUM_TOLERANCE = 1e-9
 
+# Every positive double q has |ln q| <= 745, so at T >= this bound ln(q) / T
+# stays finite and so does every tempered weight.
+MIN_TEMPERATURE = 1e-300
+
 
 class DistributionError(ValueError):
     """Raised when an array fails the TokenDistribution invariants."""
@@ -298,6 +302,8 @@ def temperature_scale(dist: TokenDistribution, temperature: float, support=None)
     """
     if not (temperature > 0.0 and math.isfinite(temperature)):
         raise ValueError(f"temperature must be positive and finite, got {temperature!r}")
+    if temperature < MIN_TEMPERATURE:
+        raise ValueError(f"temperature must be >= {MIN_TEMPERATURE!r}, got {temperature!r}")
     ids = _support_ids(len(dist), support)
     w = tempered_weights(dist.probs[ids], temperature)
     return scattered_distribution(dist.vocab, np.zeros(len(dist), dtype=np.float64), ids, w)

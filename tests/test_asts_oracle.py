@@ -133,6 +133,10 @@ def test_normalize_and_temperature_scale_equal_dense_oracle(size, seed, data):
     dist = new
     t = data.draw(st.sampled_from([1e-310, *TEMPERATURES, 0.0]))
     new = _outcome(core.temperature_scale, dist, t, support)
+    if 0.0 < t < core.MIN_TEMPERATURE:
+        # The dense oracle returns NaN here; the live function refuses T.
+        assert new == (ValueError, f"temperature must be >= 1e-300, got {t!r}")
+        return
     old = _outcome(oracles.temperature_scale, dist, t, support)
     if isinstance(new, TokenDistribution):
         assert new.probs.tobytes() == old.probs.tobytes()

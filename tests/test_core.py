@@ -1,6 +1,7 @@
 """Core distribution primitives: entropy, surprisal, normalize, temperature, sampling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -264,6 +265,15 @@ class TestTemperatureScale:
             temperature_scale(seven_dist, 0.0)
         with pytest.raises(ValueError):
             temperature_scale(seven_dist, -1.0)
+
+    @pytest.mark.parametrize("t", [1e-310, 5e-324, 9.99e-301])
+    def test_subnormal_temperature_errors_without_warning(self, t):
+        # Below MIN_TEMPERATURE, ln(q) / T overflows and the result would be NaN.
+        dist = make_dist([0.3, 0.7])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="temperature must be >= 1e-300"):
+                temperature_scale(dist, t)
 
     def test_support_restriction_drops_other_mass(self, seven_dist):
         out = temperature_scale(seven_dist, 1.0, support=[0, 1])
