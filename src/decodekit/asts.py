@@ -15,12 +15,11 @@ embedding-cosine alignment, a constant-zero ablation and keyword overlap.
 A step works on whole candidate arrays, renormalisation and temperature
 included, and each array operation is chosen to give bit for bit the float
 that the scalar formula below it gives, so vectorising moves no output
-digest. The two renormalising totals are taken dense, as ``core``
-requires, so the final distribution equals the one a size-V computation
-gives. Dot products and norms use ``np.vecdot``, which matches
-``np.dot``/``np.linalg.norm`` row by row; a matrix product (``M @ v``),
-``einsum`` or ``(M * v).sum(1)`` rounds differently and must not replace
-it. Logarithms of single probabilities use ``math.log``, because
+digest. Both renormalising totals come from ``core.scatter``, so the final
+distribution equals the one a size-V computation gives. Dot products and
+norms use ``np.vecdot``, which matches ``np.dot``/``np.linalg.norm`` row by
+row; a matrix product (``M @ v``), ``einsum`` or ``(M * v).sum(1)`` rounds
+differently and must not replace it. Logarithms of single probabilities use ``math.log``, because
 ``np.log`` differs from it in the last bit on a few inputs.
 """
 
@@ -42,8 +41,8 @@ from decodekit.core import (
     TokenDistribution,
     Vocabulary,
     entropy,
-    normalized_weights,
-    scattered_distribution,
+    scatter,
+    scattered,
     tempered_weights,
 )
 from decodekit.embed import EmbeddingTable, pool_rows
@@ -427,9 +426,9 @@ def asts_step(
             adjusted = p_in * np.exp(exponent)
     else:
         adjusted = p_in * np.exp(exponent)
-    dense = np.zeros(len(vocab), dtype=np.float64)
-    q = normalized_weights(dense, ids, p_in * np.exp(exponent - top))
-    final = scattered_distribution(vocab, dense, ids, tempered_weights(q, cfg.temperature))
+    w = p_in * np.exp(exponent - top)
+    q = w / scatter(len(vocab), ids, w)[1]
+    final = scattered(vocab, ids, tempered_weights(q, cfg.temperature))
 
     columns = dict(
         zip(

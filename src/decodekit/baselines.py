@@ -15,21 +15,19 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from decodekit.core import TokenDistribution, mass_count, restrict, surprisal, top_mask
+from decodekit.core import TokenDistribution, mass_count, restrict, surprisal, top_ids
 
 
 def greedy_restrict(dist: TokenDistribution) -> TokenDistribution:
     """The one-hot on the most probable token (ties to the lowest id); every draw returns it."""
-    keep = np.zeros(len(dist), dtype=bool)
-    keep[np.argmax(dist.probs)] = True  # argmax returns the lowest id on ties
-    return restrict(dist, keep)
+    return restrict(dist, [np.argmax(dist.probs)])  # argmax returns the lowest id on ties
 
 
 def topk_restrict(dist: TokenDistribution, k: int) -> TokenDistribution:
     """Renormalise over the k most probable tokens (clamped to the support), ties to the lowest id."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return restrict(dist, top_mask(dist, k))
+    return restrict(dist, top_ids(dist, k))
 
 
 def nucleus_restrict(dist: TokenDistribution, p: float) -> TokenDistribution:
@@ -42,7 +40,7 @@ def nucleus_restrict(dist: TokenDistribution, p: float) -> TokenDistribution:
     if not 0.0 < p <= 1.0:
         raise ValueError(f"nucleus p must lie in (0, 1], got {p}")
     descending = np.sort(dist.probs)[::-1]
-    return restrict(dist, top_mask(dist, mass_count(descending, p)))
+    return restrict(dist, top_ids(dist, mass_count(descending, p)))
 
 
 @dataclass(frozen=True)
@@ -76,8 +74,7 @@ def mirostat_step(dist: TokenDistribution, state: MirostatState) -> TokenDistrib
     the argmax alone is kept.
     """
     ids = dist.support()
-    keep = np.zeros(len(dist), dtype=bool)
-    keep[ids] = -np.log(dist.probs[ids]) <= state.mu
-    if not keep.any():
+    kept = ids[-np.log(dist.probs[ids]) <= state.mu]
+    if not kept.size:
         return greedy_restrict(dist)
-    return restrict(dist, keep)
+    return restrict(dist, kept)

@@ -4,15 +4,16 @@ All information quantities use natural logarithms (nats). Probabilities
 below ``ENTROPY_FLOOR`` are treated as exact zeros inside entropy sums so
 that renormalised tail noise cannot inject spurious -p*log(p) terms.
 
-Truncation rules keep a boolean mask of tokens and renormalise with
-``restrict``. Two rules keep their output bit-identical to ranking the
-whole support with a stable sort:
+Every kept set is an array of token ids: a truncation rule picks ids and
+``restrict`` renormalises ``dist`` over them. ``scatter`` is the one place a
+renormalising total is taken, and two rules keep every output bit-identical
+to ranking the whole support with a stable sort:
 
-- A renormalising total is always taken dense: scatter the kept values
-  into a zero vector of size V, then ``.sum()``. Never ``values.sum()`` over
-  the kept ids alone: numpy sums pairwise, so a total over a shorter array
-  groups the values differently and can differ in the last bit.
-- Ties go to the lowest token id. ``top_mask`` finds the n-th largest
+- The total is always taken dense: ``scatter`` puts the kept values into a
+  zero vector of size V, then takes its ``.sum()``. Never ``values.sum()``
+  over the kept ids alone: numpy sums pairwise, so a total over a shorter
+  array groups the values differently and can differ in the last bit.
+- Ties go to the lowest token id. ``top_ids`` finds the n-th largest
   probability with ``np.partition`` and fills its remaining places from the
   tokens equal to it in ascending id order; a rank by any other key (LTS
   mass) uses an unstable sort and falls back to a stable one only when two
@@ -169,13 +170,15 @@ def surprisal(dist: TokenDistribution, token_id: int) -> float:
     return float(-math.log(p))
 
 
-def _support_mask(size: int, support) -> np.ndarray:
-    """Boolean mask of ``support``: a boolean mask, an integer id array or any iterable of ids."""
+def _support_ids(size: int, support) -> np.ndarray:
+    """Ids of ``support``: a boolean mask, an integer id array or any iterable of ids; every id when None."""
+    if support is None:
+        return np.arange(size)
     if isinstance(support, np.ndarray) and support.ndim == 1 and support.dtype.kind in "biu":
         if support.dtype.kind == "b":
             if support.shape[0] != size:
                 raise IndexError(f"support mask has {support.shape[0]} entries, expected {size}")
-            return support
+            return np.flatnonzero(support)
         # Large supports (thousands of ids) stay in numpy; min/max find stray ids.
         ids = support
         outside = ids.size and (ids.min() < 0 or ids.max() >= size)
@@ -184,32 +187,29 @@ def _support_mask(size: int, support) -> np.ndarray:
         outside = ids and (ids[0] < 0 or ids[-1] >= size)
     if outside:
         raise IndexError("support contains token ids outside the vocabulary")
-    mask = np.zeros(size, dtype=bool)
-    mask[ids] = True
-    return mask
+    return np.asarray(ids, dtype=np.intp)
 
 
-def _support_ids(size: int, support) -> np.ndarray:
-    """Ascending ids of ``support`` (see ``_support_mask``); every id when it is None."""
-    if support is None:
-        return np.arange(size)
-    return np.flatnonzero(_support_mask(size, support))
+def scatter(size: int, ids: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.float64]:
+    """The weights ``w`` of the tokens ``ids`` in a zero vector of size ``size``, and its dense sum.
 
-
-def normalized_weights(dense: np.ndarray, ids: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``w / total`` for the weights ``w`` of the tokens ``ids``.
-
-    ``dense`` is a zero vector of vocabulary size; ``w`` is scattered into it
-    and the total is its dense ``sum()``. The total must be positive and
-    finite. ``dense`` is left holding ``w``.
+    This is the only renormalising total in the package. It must be
+    positive and finite.
     """
+    dense = np.zeros(size, dtype=np.float64)
     dense[ids] = w
     total = dense.sum()
     if total <= 0.0:
         raise DistributionError("cannot normalise: total weight over support is zero")
     if not np.isfinite(total):
         raise DistributionError("cannot normalise: total weight overflows")
-    return w / total
+    return dense, total
+
+
+def scattered(vocab: Vocabulary, ids: np.ndarray, w: np.ndarray) -> TokenDistribution:
+    """The distribution proportional to the weights ``w`` of the tokens ``ids``, zero elsewhere."""
+    dense, total = scatter(len(vocab), ids, w)
+    return TokenDistribution._checked_by_caller(vocab, dense / total)
 
 
 def tempered_weights(q: np.ndarray, temperature: float) -> np.ndarray:
@@ -228,16 +228,6 @@ def tempered_weights(q: np.ndarray, temperature: float) -> np.ndarray:
     return np.exp(scaled, where=np.isfinite(scaled), out=np.zeros_like(scaled))
 
 
-def scattered_distribution(vocab: Vocabulary, dense: np.ndarray, ids: np.ndarray, w: np.ndarray) -> TokenDistribution:
-    """The distribution proportional to the weights ``w`` of the tokens ``ids``.
-
-    ``dense`` is a vocabulary-size vector that is zero outside ``ids``; ``w``
-    is scattered into it and the result is ``dense`` over its dense sum.
-    """
-    dense[ids] = w
-    return TokenDistribution._checked_by_caller(vocab, dense / dense.sum())
-
-
 def normalize(vocab: Vocabulary, weights, support=None) -> TokenDistribution:
     """Normalise nonnegative weights into a distribution restricted to ``support``.
 
@@ -253,24 +243,21 @@ def normalize(vocab: Vocabulary, weights, support=None) -> TokenDistribution:
     if np.any(w < 0.0):
         raise DistributionError("weights must be nonnegative")
     ids = _support_ids(len(vocab), support)
-    dense = np.zeros(len(vocab), dtype=np.float64)
-    dense[ids] = normalized_weights(dense, ids, w[ids])
-    return TokenDistribution._checked_by_caller(vocab, dense)
+    return scattered(vocab, ids, w[ids])
 
 
-def restrict(dist: TokenDistribution, keep: np.ndarray) -> TokenDistribution:
-    """``dist`` renormalised over the tokens the boolean mask ``keep`` selects.
+def restrict(dist: TokenDistribution, ids) -> TokenDistribution:
+    """``dist`` renormalised over the tokens ``ids``.
 
     ``dist`` is already validated, so unlike ``normalize`` this makes no
-    finiteness or sign check. ``keep`` must select a token of positive
+    finiteness or sign check. ``ids`` must include a token of positive
     probability.
     """
-    w = np.where(keep, dist.probs, 0.0)
-    return TokenDistribution._checked_by_caller(dist.vocab, w / w.sum())
+    return scattered(dist.vocab, ids, dist.probs[ids])
 
 
-def top_mask(dist: TokenDistribution, n: int) -> np.ndarray:
-    """Mask of the ``n >= 1`` most probable tokens, ties to the lowest id.
+def top_ids(dist: TokenDistribution, n: int) -> np.ndarray:
+    """Ids of the ``n >= 1`` most probable tokens, ties to the lowest id.
 
     Fewer than ``n`` tokens of positive probability are all kept.
     """
@@ -278,10 +265,9 @@ def top_mask(dist: TokenDistribution, n: int) -> np.ndarray:
     pos = p.size - min(n, p.size)
     cut = np.partition(p, pos)[pos]
     if cut <= 0.0:
-        return p > 0.0
-    keep = p > cut
-    keep[np.flatnonzero(p == cut)[: n - np.count_nonzero(keep)]] = True
-    return keep
+        return dist.support()
+    above = np.flatnonzero(p > cut)
+    return np.concatenate((above, np.flatnonzero(p == cut)[: n - above.size]))
 
 
 def mass_count(ranked: np.ndarray, mass: float) -> int:
@@ -305,8 +291,7 @@ def temperature_scale(dist: TokenDistribution, temperature: float, support=None)
     if temperature < MIN_TEMPERATURE:
         raise ValueError(f"temperature must be >= {MIN_TEMPERATURE!r}, got {temperature!r}")
     ids = _support_ids(len(dist), support)
-    w = tempered_weights(dist.probs[ids], temperature)
-    return scattered_distribution(dist.vocab, np.zeros(len(dist), dtype=np.float64), ids, w)
+    return scattered(dist.vocab, ids, tempered_weights(dist.probs[ids], temperature))
 
 
 @dataclass

@@ -60,16 +60,9 @@ def band_ids(dist: TokenDistribution, alpha: float, beta: float) -> np.ndarray:
     return ids[best : best + 1]
 
 
-def band_mask(dist: TokenDistribution, alpha: float, beta: float) -> np.ndarray:
-    """Boolean mask of ``band_ids``."""
-    keep = np.zeros(len(dist), dtype=bool)
-    keep[band_ids(dist, alpha, beta)] = True
-    return keep
-
-
 def typical_set_band(dist: TokenDistribution, alpha: float, beta: float) -> TokenDistribution:
-    """The ``band_mask`` set, renormalised."""
-    return restrict(dist, band_mask(dist, alpha, beta))
+    """The ``band_ids`` set, renormalised."""
+    return restrict(dist, band_ids(dist, alpha, beta))
 
 
 def typical_set_mass(dist: TokenDistribution, tau: float) -> TokenDistribution:
@@ -91,9 +84,7 @@ def typical_set_mass(dist: TokenDistribution, tau: float) -> TokenDistribution:
     if np.any(ranked[1:] == ranked[:-1]):
         order = np.argsort(dev, kind="stable")  # ids ascend, so ties keep id order
     ranked_ids = ids[order]
-    keep = np.zeros(len(dist), dtype=bool)
-    keep[ranked_ids[: mass_count(dist.probs[ranked_ids], tau)]] = True
-    return restrict(dist, keep)
+    return restrict(dist, ranked_ids[: mass_count(dist.probs[ranked_ids], tau)])
 
 
 def lts_restrict(dist: TokenDistribution, cfg: LtsConfig) -> TokenDistribution:

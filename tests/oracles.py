@@ -24,7 +24,7 @@ from decodekit.asts import (
     ScoreBreakdown,
     dynamic_thresholds,
 )
-from decodekit.core import DistributionError, TokenDistribution, Vocabulary, _support_mask, entropy, mass_count
+from decodekit.core import DistributionError, TokenDistribution, Vocabulary, entropy, mass_count
 from decodekit.lts import _deviations
 
 
@@ -115,6 +115,26 @@ def band_mask(dist: TokenDistribution, alpha: float, beta: float) -> np.ndarray:
     else:
         keep[ids[np.argmin(np.abs(surp - h))]] = True  # argmin returns the lowest id on ties
     return keep
+
+
+def _support_mask(size: int, support) -> np.ndarray:
+    """Boolean mask of ``support``: a boolean mask, an integer id array or any iterable of ids."""
+    if isinstance(support, np.ndarray) and support.ndim == 1 and support.dtype.kind in "biu":
+        if support.dtype.kind == "b":
+            if support.shape[0] != size:
+                raise IndexError(f"support mask has {support.shape[0]} entries, expected {size}")
+            return support
+        # Large supports (thousands of ids) stay in numpy; min/max find stray ids.
+        ids = support
+        outside = ids.size and (ids.min() < 0 or ids.max() >= size)
+    else:
+        ids = sorted(set(int(i) for i in support))
+        outside = ids and (ids[0] < 0 or ids[-1] >= size)
+    if outside:
+        raise IndexError("support contains token ids outside the vocabulary")
+    mask = np.zeros(size, dtype=bool)
+    mask[ids] = True
+    return mask
 
 
 def normalize(vocab: Vocabulary, weights, support=None) -> TokenDistribution:
