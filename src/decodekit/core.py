@@ -54,7 +54,10 @@ class Vocabulary:
             raise ValueError("vocabulary must contain at least one token")
         index = dict(zip(self.tokens, range(len(self.tokens))))
         if len(index) != len(self.tokens):
-            raise ValueError("vocabulary tokens must be unique")
+            # index keeps each token's last position, so the first token
+            # whose position differs is the first that repeats.
+            repeated = next(t for i, t in enumerate(self.tokens) if index[t] != i)
+            raise ValueError(f"vocabulary tokens must be unique, {repeated!r} repeats")
         object.__setattr__(self, "index", index)
 
     @classmethod

@@ -121,6 +121,10 @@ _CHOICES = {
 
 _ASTS_FIELDS = tuple(f.name for f in fields(AstsConfig))
 
+# What a sampler raises when its running values overflow: the ASTS exponent
+# or the Mirostat budget.
+_OVERFLOW_ERRORS = {"asts": DistributionError, "mirostat": ValueError}
+
 
 def get_by_path(cfg: dict, path: str):
     node = cfg
@@ -203,6 +207,9 @@ def _check_leaf(path: str, value, default):
         ok = type(value) is kind  # an int leaf rejects bool
     nullable = " or null" if default is None else ""
     _expect(ok, path, f"must be {_TYPE_NAMES[kind]}{nullable}, got {value!r}")
+    if kind is int and value is not None:
+        # numpy and deque sizes take at most signed 64 bits.
+        _expect(-(2**63) <= value < 2**63, path, f"must fit in a signed 64-bit integer, got {value!r}")
     return value
 
 
@@ -276,6 +283,25 @@ def _asts_config(cfg: dict) -> AstsConfig:
     return AstsConfig(**{name: cfg["asts"][name] for name in _ASTS_FIELDS})
 
 
+def _overflowing_field(cfg: dict) -> str:
+    """The scale field that overflowed a step, taken as the one of largest scale times its score's bound.
+
+    ASTS scores are bounded when the providers are built-in: |coherence| <=
+    746 (a surprisal is at most 745 nats), diversity <= 1 / eps_div and every
+    other score lies in [-1, 1]. The "eq13" form's exponent has no lambda term.
+    """
+    if cfg["sampler"] == "mirostat":
+        m = cfg["mirostat"]
+        sizes = {f"mirostat.{k}": abs(m[k]) for k in ("tau", "eta", "mu0") if m[k] is not None}
+    else:
+        a = cfg["asts"]
+        bounds = {"mu1": 1.0, "mu2": 1.0, "mu3": 1.0}
+        if a["adjust_form"] == "example":
+            bounds.update(lambda1=746.0, lambda2=1.0, lambda3=1.0 / a["eps_div"])
+        sizes = {f"asts.{k}": a[k] * bound for k, bound in bounds.items()}
+    return max(sizes, key=sizes.get)
+
+
 class SyntheticModel:
     """A synthetic profile; scores that overflow are a ConfigError on ``base_temperature``."""
 
@@ -326,6 +352,10 @@ def _load_replay_model(path: str) -> ReplayModel:
     tokens = doc["tokens"]
     if not isinstance(tokens, list) or not tokens or not all(isinstance(t, str) for t in tokens):
         raise DataError(f"{path}: 'tokens' must be a nonempty list of strings")
+    try:
+        vocab = Vocabulary.from_tokens(tokens)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
     steps = doc["steps"]
     if not isinstance(steps, list) or not steps:
         raise DataError(f"{path}: 'steps' must be a nonempty list of probability rows")
@@ -333,15 +363,19 @@ def _load_replay_model(path: str) -> ReplayModel:
     for i, row in enumerate(steps):
         if not isinstance(row, list) or len(row) != len(tokens):
             raise DataError(f"{path}: step {i}: expected {len(tokens)} probabilities")
+        # As for a float config leaf: type() rejects bool, strings and lists,
+        # and abs() <= max rejects NaN, inf and ints too large for a float.
+        if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in row):
+            raise DataError(f"{path}: step {i}: probabilities must be finite numbers")
         arr = np.asarray(row, dtype=np.float64)
         with np.errstate(over="ignore"):  # a total that overflows is rejected below
             total = arr.sum()
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0) or not 0 < total < np.inf:
+        if np.any(arr < 0) or not 0 < total < np.inf:
             raise DataError(f"{path}: step {i}: probabilities must be nonnegative with a positive, finite sum")
         rows.append(arr / total)  # rows are renormalised exactly
     stacked = np.stack(rows)
     stacked.flags.writeable = False  # next() hands out views of these rows
-    return ReplayModel(Vocabulary.from_tokens(tokens), stacked)
+    return ReplayModel(vocab, stacked)
 
 
 def build_model(cfg: dict):
@@ -458,15 +492,23 @@ def run_sequence(cfg: dict, index: int, inputs: RunInputs | None = None) -> dict
     inputs = inputs or prepare_run(cfg)
     model = inputs.model
     vocab = model.vocab
-    sampler = build_sampler(cfg, vocab, inputs.providers)
-    tokens, trace = simlm.drive(
-        model.next,
-        sampler,
-        seed=cfg["seed"] + index,
-        max_tokens=cfg["max_tokens"],
-        prompt=inputs.prompts[index % len(inputs.prompts)],
-        window_w=cfg["asts"]["window_w"],
-    )
+    try:
+        # A scale field large enough to overflow a step makes numpy warn
+        # before the step raises; the ConfigError below is the one report.
+        with np.errstate(over="ignore", invalid="ignore"):
+            sampler = build_sampler(cfg, vocab, inputs.providers)
+            tokens, trace = simlm.drive(
+                model.next,
+                sampler,
+                seed=cfg["seed"] + index,
+                max_tokens=cfg["max_tokens"],
+                prompt=inputs.prompts[index % len(inputs.prompts)],
+                window_w=cfg["asts"]["window_w"],
+            )
+    except (ConfigError, DataError):
+        raise
+    except _OVERFLOW_ERRORS.get(cfg["sampler"], ()) as exc:
+        raise ConfigError(f"{_overflowing_field(cfg)}: {exc}") from None
     audit = []
     if inputs.audit and isinstance(sampler, AstsSampler):
         audit = [b.to_json_line(index, t, token) for t, (b, token) in enumerate(zip(sampler.breakdowns, tokens))]

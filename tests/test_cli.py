@@ -314,3 +314,63 @@ def test_subnormal_asts_field_is_a_config_error(tmp_path, field):
     assert proc.returncode == 2
     assert proc.stderr.startswith(f"config error: asts.{field}")
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
+
+# (sampler, section overrides, field the error names): valid-typed extremes
+# whose steps overflow, or ints beyond the signed 64 bits numpy and deque take.
+CONFIG_EXTREMES = [
+    ("asts", {"asts": {"lambda3": 1e308, "eps_div": 0.5}}, "asts.lambda3"),
+    ("mirostat", {"mirostat": {"eta": 1e308}}, "mirostat.eta"),
+    ("mirostat", {"mirostat": {"tau": 1e308}}, "mirostat.tau"),
+    ("asts", {"asts": {"window_w": 10**30}}, "asts.window_w"),
+    ("topk", {"topk": {"k": 10**30}}, "topk.k"),
+]
+
+
+@pytest.mark.parametrize("sampler,sections,field", CONFIG_EXTREMES, ids=[c[2] for c in CONFIG_EXTREMES])
+def test_config_extreme_is_a_config_error(tmp_path, sampler, sections, field):
+    cfg = write_json(
+        tmp_path / "run.json",
+        {
+            "sampler": sampler,
+            "max_tokens": 12,
+            "model": {"selector": "synthetic:mixed", "synthetic": {"vocab_size": 32}},
+            "output": {"corpus": str(tmp_path / "out.jsonl")},
+            **sections,
+        },
+    )
+    proc = run_cli("generate", "--config", cfg)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"config error: {field}: ")
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+# (replay file, what the input error names)
+BROKEN_REPLAYS = {
+    "string_row": ({"tokens": ["a", "b"], "steps": [[0.5, 0.5], ["0.5", "0.5"]]}, "step 1: "),
+    "bool_row": ({"tokens": ["a", "b"], "steps": [[True, False]]}, "step 0: "),
+    "nested_row": ({"tokens": ["a", "b"], "steps": [[[0.5], [0.5]]]}, "step 0: "),
+    "repeated_token": ({"tokens": ["a", "b", "a"], "steps": [[0.2, 0.3, 0.5]]}, "'a' repeats"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_REPLAYS))
+def test_broken_replay_file_is_an_input_error(tmp_path, name):
+    doc, named = BROKEN_REPLAYS[name]
+    replay = write_json(tmp_path / "dist.json", doc)
+    cfg = write_json(
+        tmp_path / "run.json",
+        {
+            "sampler": "greedy",
+            "max_tokens": 4,
+            "model": {"selector": f"file:{replay}"},
+            "output": {"corpus": str(tmp_path / "out.jsonl")},
+        },
+    )
+    proc = run_cli("generate", "--config", cfg)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith(f"input error: {replay}: ")
+    assert named in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert not (tmp_path / "out.jsonl").exists()
