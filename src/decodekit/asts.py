@@ -19,8 +19,9 @@ digest. Both renormalising totals come from ``core.scatter``, so the final
 distribution equals the one a size-V computation gives. Dot products and
 norms use ``np.vecdot``, which matches ``np.dot``/``np.linalg.norm`` row by
 row; a matrix product (``M @ v``), ``einsum`` or ``(M * v).sum(1)`` rounds
-differently and must not replace it. Logarithms of single probabilities use ``math.log``, because
-``np.log`` differs from it in the last bit on a few inputs.
+differently and must not replace it. Logarithms of single probabilities use
+``math.log``, because ``np.log`` differs from it in the last bit on a few
+inputs.
 """
 
 from __future__ import annotations

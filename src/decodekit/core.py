@@ -204,7 +204,7 @@ def scatter(size: int, ids: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.f
     total = dense.sum()
     if total <= 0.0:
         raise DistributionError("cannot normalise: total weight over support is zero")
-    if not np.isfinite(total):
+    if not math.isfinite(total):  # np.isfinite costs ten times as much on one float
         raise DistributionError("cannot normalise: total weight overflows")
     return dense, total
 
