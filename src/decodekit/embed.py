@@ -14,6 +14,10 @@ import numpy as np
 from decodekit.core import Vocabulary
 
 
+# The widest row a file may declare; numpy cannot shape a dim near 2**63.
+MAX_DIM = 2**16
+
+
 class EmbeddingFormatError(ValueError):
     """Raised when an embedding file violates the text format."""
 
@@ -78,8 +82,8 @@ def load_table(path) -> EmbeddingTable:
             count, dim = int(parts[0]), int(parts[1])
         except ValueError:
             raise EmbeddingFormatError(f"{path}: line 1: header fields must be integers") from None
-        if count < 0 or dim < 1:
-            raise EmbeddingFormatError(f"{path}: line 1: invalid header values {count} {dim}")
+        if count < 0 or not 1 <= dim <= MAX_DIM:
+            raise EmbeddingFormatError(f"{path}: line 1: invalid header values {count} {dim} (dim at most {MAX_DIM})")
         for lineno, line in enumerate(fh, start=2):
             fields = line.split()
             if not fields:

@@ -67,6 +67,10 @@ class TestLoadTable:
             load_table(write_table(tmp_path, "3\nalpha 1 0\n"))
         with pytest.raises(EmbeddingFormatError, match="line 1"):
             load_table(write_table(tmp_path, "two 3\n"))
+        # Dims too wide for numpy to shape, with and without rows after them.
+        for text in ("1 99999999999999999999\nalpha 1\n", "4 9223372036854775807\nalpha 1\n", "0 4611686018427387904\n"):
+            with pytest.raises(EmbeddingFormatError, match="line 1: invalid header values"):
+                load_table(write_table(tmp_path, text))
 
     def test_blank_lines_skipped(self, tmp_path):
         path = write_table(tmp_path, "1 2\n\nalpha 1 0\n\n")
