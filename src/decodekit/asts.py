@@ -41,7 +41,9 @@ from decodekit.core import (
     DistributionError,
     TokenDistribution,
     Vocabulary,
+    check_fields,
     entropy,
+    leaf,
     scatter,
     scattered,
     tempered_weights,
@@ -88,40 +90,23 @@ class GenerationContext:
 
 @dataclass(frozen=True)
 class AstsConfig:
-    k1: float = 0.3
-    k2: float = 0.3
-    lambda1: float = 0.4
-    lambda2: float = 0.4
-    lambda3: float = 0.2
-    mu1: float = 0.5
-    mu2: float = 0.3
-    mu3: float = 0.2
-    temperature: float = 1.0
-    window_w: int = 8
-    eps_div: float = 1.0
-    sigma_prior: float = 0.6
-    adjust_form: str = "example"
+    k1: float = leaf(0.3, lo=0.0)
+    k2: float = leaf(0.3, lo=0.0)
+    lambda1: float = leaf(0.4, lo=0.0)
+    lambda2: float = leaf(0.4, lo=0.0)
+    lambda3: float = leaf(0.2, lo=0.0)
+    mu1: float = leaf(0.5, lo=0.0)
+    mu2: float = leaf(0.3, lo=0.0)
+    mu3: float = leaf(0.2, lo=0.0)
+    temperature: float = leaf(1.0, lo=MIN_TEMPERATURE)
+    window_w: int = leaf(8, lo=1)
+    # From the smallest normal float up, 1 / (freq + eps_div) is finite.
+    eps_div: float = leaf(1.0, lo=sys.float_info.min)
+    sigma_prior: float = leaf(0.6, lo=0.0)
+    adjust_form: str = leaf("example", choices=ADJUST_FORMS)
 
     def __post_init__(self) -> None:
-        for name in ("k1", "k2", "lambda1", "lambda2", "lambda3", "mu1", "mu2", "mu3"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"asts.{name} must be finite and >= 0, got {v!r}")
-        if not (math.isfinite(self.temperature) and self.temperature >= MIN_TEMPERATURE):
-            raise ValueError(
-                f"asts.temperature must be finite and >= {MIN_TEMPERATURE!r}, got {self.temperature!r}"
-            )
-        if self.window_w < 1:
-            raise ValueError(f"asts.window_w must be >= 1, got {self.window_w}")
-        # From the smallest normal float up, 1 / (freq + eps_div) is finite.
-        if not self.eps_div >= sys.float_info.min:
-            raise ValueError(f"asts.eps_div must be >= {sys.float_info.min!r}, got {self.eps_div!r}")
-        if not (math.isfinite(self.sigma_prior) and self.sigma_prior >= 0.0):
-            raise ValueError(f"asts.sigma_prior must be finite and >= 0, got {self.sigma_prior!r}")
-        if self.adjust_form not in ADJUST_FORMS:
-            raise ValueError(
-                f"asts.adjust_form must be one of {ADJUST_FORMS}, got {self.adjust_form!r}"
-            )
+        check_fields(self, "asts")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Probability primitives shared by every sampler in the package.
+"""Probability primitives shared by every sampler in the package, and the
+``leaf`` row that declares a config field with its accepted range.
 
 All information quantities use natural logarithms (nats). Probabilities
 below ``ENTROPY_FLOOR`` are treated as exact zeros inside entropy sums so
@@ -23,7 +24,8 @@ to ranking the whole support with a stable sort:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import Field, dataclass, field, fields
 
 import numpy as np
 
@@ -36,6 +38,43 @@ SUM_TOLERANCE = 1e-9
 # Every positive double q has |ln q| <= 745, so at T >= this bound ln(q) / T
 # stays finite and so does every tempered weight.
 MIN_TEMPERATURE = 1e-300
+
+
+def leaf(default, *, lo=None, hi=None, above=None, choices=None, kind=None) -> Field:
+    """A config field declared once: its default and the values it accepts.
+
+    ``lo`` and ``hi`` are inclusive bounds, ``above`` an exclusive lower
+    bound and ``choices`` the accepted values. ``kind`` is the leaf's type,
+    the type of ``default`` unless that is null. ``check_leaf`` reads these.
+    """
+    rules = {"kind": kind or type(default), "lo": lo, "hi": hi, "above": above, "choices": choices}
+    return field(default=default, metadata={k: v for k, v in rules.items() if v is not None})
+
+
+_BOUNDS = (("lo", operator.ge, ">="), ("above", operator.gt, ">"), ("hi", operator.le, "<="))
+
+
+def check_leaf(path: str, spec: Field, value) -> None:
+    """Raise ValueError naming ``path`` unless ``value`` is one the leaf ``spec`` accepts.
+
+    A float leaf must also be finite. The value's type is the caller's to check.
+    """
+    rules = spec.metadata
+    if "choices" in rules:
+        if value not in rules["choices"]:
+            raise ValueError(f"{path}: must be one of {rules['choices']}, got {value!r}")
+        return
+    if rules["kind"] is float and not math.isfinite(value):
+        raise ValueError(f"{path}: must be finite, got {value!r}")
+    for key, within, sign in _BOUNDS:
+        if key in rules and not within(value, rules[key]):
+            raise ValueError(f"{path}: must be {sign} {rules[key]!r}, got {value!r}")
+
+
+def check_fields(obj, prefix: str) -> None:
+    """``check_leaf`` on every field of the dataclass ``obj``, each named ``<prefix>.<field>``."""
+    for spec in fields(obj):
+        check_leaf(f"{prefix}.{spec.name}", spec, getattr(obj, spec.name))
 
 
 class DistributionError(ValueError):
@@ -76,8 +115,6 @@ class Vocabulary:
 
 def default_vocabulary(size: int = 256) -> Vocabulary:
     """Synthetic vocabulary ``tok000 .. tokNNN`` used by desk-scale runs."""
-    if size < 1:
-        raise ValueError(f"vocabulary size must be >= 1, got {size}")
     # One %-format over the whole range builds the names several times
     # faster than an f-string per token.
     return Vocabulary.from_tokens((("tok%03d " * size) % tuple(range(size))).split())

@@ -2,9 +2,10 @@
 
 The whole run is described by one JSON document. Every leaf key is
 addressable by dotted path (``lts.tau_mass``, ``model.synthetic.seed``),
-which is what the sweep command manipulates. Unset keys fall back to the
-defaults below, every set key is checked against the type of its default,
-and validation failures name the offending field path.
+which is what the sweep command manipulates. ``SCHEMA`` declares each leaf
+once, as a ``core.leaf`` row holding its default and accepted range. Unset
+keys take the default, every set key is checked against its row, and
+validation failures name the offending field path.
 
 Determinism contract: sequence ``i`` of a run uses seed ``seed + i``, and
 sweep replication ``r`` shifts the base seed by ``r * num_sequences`` so
@@ -21,7 +22,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -29,7 +30,7 @@ import numpy as np
 from decodekit import golden, metrics, simlm
 from decodekit.asts import AstsConfig, ConstantScores, EmbeddingAlignment, KeywordRelevance
 from decodekit.baselines import MirostatState, greedy_restrict, nucleus_restrict, topk_restrict
-from decodekit.core import DistributionError, TokenDistribution, Vocabulary, default_vocabulary
+from decodekit.core import DistributionError, TokenDistribution, Vocabulary, check_leaf, default_vocabulary, leaf
 from decodekit.embed import EmbeddingFormatError, load_table, synthetic_table
 from decodekit.lts import LtsConfig, lts_restrict
 from decodekit.metrics import SequenceCorpus, UniformScorer
@@ -52,72 +53,57 @@ class MetricError(ValueError):
 # base_temperature default per synthetic profile kind.
 KIND_TEMPERATURES = {"peaked": 0.3, "flat": 10.0, "mixed": 1.0, "loop_prone": 1.0}
 
-# The config schema. A leaf's type is the type of its default. The
-# model.synthetic, lts and asts defaults come from LmProfile (less its kind,
-# which the selector names), LtsConfig and AstsConfig.
-DEFAULTS: dict = {
-    "seed": 0,
-    "max_tokens": 64,
-    "num_sequences": 1,
-    "workers": 1,
-    "sampler": "lts",
+
+def _section(cls, *drop: str) -> dict:
+    """The ``leaf`` rows of the config dataclass ``cls``, less the fields ``drop``."""
+    return {f.name: f for f in fields(cls) if f.name not in drop}
+
+
+_PROFILE = _section(LmProfile, "kind")  # the selector names the kind
+
+# The config schema: one ``leaf`` row per field, holding its default and the
+# values it accepts. The model.synthetic, lts and asts rows are those of
+# LmProfile, LtsConfig and AstsConfig. A synthetic embedding table holds
+# vocab_size * embed.dim floats, so their two bounds keep it within 1 GiB.
+SCHEMA: dict = {
+    "seed": leaf(0, lo=0),
+    "max_tokens": leaf(64, lo=1),
+    "num_sequences": leaf(1, lo=1),
+    "workers": leaf(1, lo=1, hi=256),
+    "sampler": leaf("lts", choices=SAMPLER_NAMES),
     "model": {
-        "selector": "synthetic:mixed",
+        "selector": leaf("synthetic:mixed"),
         "synthetic": {
-            **{k: v for k, v in asdict(LmProfile()).items() if k != "kind"},
-            "base_temperature": None,
-            "vocab_size": 256,
+            **_PROFILE,
+            # null = KIND_TEMPERATURES[kind]
+            "base_temperature": field(default=None, metadata=_PROFILE["base_temperature"].metadata),
+            "vocab_size": leaf(256, lo=1, hi=2**18),
         },
     },
-    "prompt": {"tokens": None, "file": None},
-    "output": {"corpus": None},
-    "topk": {"k": 10},
-    "nucleus": {"p": 0.9},
-    "mirostat": {"tau": 3.0, "eta": 0.1, "mu0": None},
-    "lts": asdict(LtsConfig()),
-    "asts": {**asdict(AstsConfig()), "alignment": "embedding", "relevance": "zero", "keywords": []},
-    "embed": {
-        "table": "synthetic",
-        "dim": 16,
-        "seed": 0,
-        "pooling": "mean",
-        "decay": 0.8,
-        "context_window": 0,
+    "prompt": {"tokens": leaf(None, kind=list), "file": leaf(None, kind=str)},
+    "output": {"corpus": leaf(None, kind=str)},
+    "topk": {"k": leaf(10, lo=1)},
+    "nucleus": {"p": leaf(0.9, above=0.0, hi=1.0)},
+    "mirostat": {"tau": leaf(3.0), "eta": leaf(0.1, lo=0.0), "mu0": leaf(None, kind=float)},  # mu0 null = 2 * tau
+    "lts": _section(LtsConfig),
+    "asts": {
+        **_section(AstsConfig),
+        "alignment": leaf("embedding", choices=("embedding", "zero")),
+        "relevance": leaf("zero", choices=("zero", "keywords")),
+        "keywords": leaf([], kind=list),
     },
-    "zipf": {"min_rank": 1, "max_rank": None},
-}
-
-# Type of each leaf whose default is null; null stays allowed there only.
-NULLABLE = {
-    "model.synthetic.base_temperature": float,  # null = KIND_TEMPERATURES[kind]
-    "prompt.tokens": list,
-    "prompt.file": str,
-    "output.corpus": str,
-    "mirostat.mu0": float,  # null = 2 * mirostat.tau
-    "zipf.max_rank": int,
+    "embed": {
+        "table": leaf("synthetic"),
+        "dim": leaf(16, lo=1, hi=2**9),
+        "seed": leaf(0),
+        "pooling": leaf("mean", choices=("mean", "decay")),
+        "decay": leaf(0.8, above=0.0, hi=1.0),
+        "context_window": leaf(0, lo=0),
+    },
+    "zipf": {"min_rank": leaf(1, lo=1), "max_rank": leaf(None, kind=int)},
 }
 
 _TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string", list: "a list of strings"}
-
-# Bounds and choices that no runtime constructor checks.
-_MINIMUMS = {
-    "seed": 0,
-    "max_tokens": 1,
-    "num_sequences": 1,
-    "workers": 1,
-    "model.synthetic.vocab_size": 1,
-    "topk.k": 1,
-    "mirostat.eta": 0,
-    "embed.dim": 1,
-    "embed.context_window": 0,
-    "zipf.min_rank": 1,
-}
-_CHOICES = {
-    "sampler": SAMPLER_NAMES,
-    "asts.alignment": ("embedding", "zero"),
-    "asts.relevance": ("zero", "keywords"),
-    "embed.pooling": ("mean", "decay"),
-}
 
 _ASTS_FIELDS = tuple(f.name for f in fields(AstsConfig))
 
@@ -169,35 +155,35 @@ def load_config(path) -> dict:
 
 def _checked(raw: dict) -> dict:
     """The full config for ``raw``: defaults filled in, every field checked."""
-    cfg = _merge(DEFAULTS, raw, "")
+    cfg = _merge(SCHEMA, raw, "")
     _check_values(cfg)
     return cfg
 
 
-def _merge(defaults: dict, given: dict, prefix: str) -> dict:
+def _merge(schema: dict, given: dict, prefix: str) -> dict:
     for key in given:
-        if key not in defaults:
+        if key not in schema:
             # Reject typos outright; a silently ignored "tau_mas" would make
             # a sweep look like the parameter has no effect.
             raise ConfigError(f"{prefix}{key}: unknown config key")
     out = {}
-    for key, default in defaults.items():
+    for key, spec in schema.items():
         path = prefix + key
-        if isinstance(default, dict):
+        if isinstance(spec, dict):
             section = given.get(key, {})
             _expect(isinstance(section, dict), path, f"must be an object, got {section!r}")
-            out[key] = _merge(default, section, path + ".")
+            out[key] = _merge(spec, section, path + ".")
         elif key in given:
-            out[key] = _check_leaf(path, given[key], default)
+            out[key] = _check_leaf(path, spec, given[key])
         else:
-            out[key] = list(default) if isinstance(default, list) else default
+            out[key] = list(spec.default) if isinstance(spec.default, list) else spec.default
     return out
 
 
-def _check_leaf(path: str, value, default):
-    kind = NULLABLE[path] if default is None else type(default)
+def _check_leaf(path: str, spec, value):
+    kind = spec.metadata["kind"]
     if value is None:
-        ok = default is None
+        ok = spec.default is None
     elif kind is float:
         # abs() <= max is false for NaN, inf and ints too large for a float.
         ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
@@ -205,11 +191,17 @@ def _check_leaf(path: str, value, default):
         ok = type(value) is list and all(type(v) is str for v in value)
     else:
         ok = type(value) is kind  # an int leaf rejects bool
-    nullable = " or null" if default is None else ""
+    nullable = " or null" if spec.default is None else ""
     _expect(ok, path, f"must be {_TYPE_NAMES[kind]}{nullable}, got {value!r}")
-    if kind is int and value is not None:
+    if value is None:
+        return value
+    if kind is int:
         # numpy and deque sizes take at most signed 64 bits.
         _expect(-(2**63) <= value < 2**63, path, f"must fit in a signed 64-bit integer, got {value!r}")
+    try:
+        check_leaf(path, spec, value)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return value
 
 
@@ -218,26 +210,16 @@ def _expect(cond: bool, path: str, msg: str) -> None:
         raise ConfigError(f"{path}: {msg}")
 
 
-def _check_values(cfg: dict) -> None:
-    """Range and cross-field checks, then the runtime constructors' own."""
-    for path, minimum in _MINIMUMS.items():
-        v = get_by_path(cfg, path)
-        _expect(v >= minimum, path, f"must be >= {minimum}, got {v}")
-    for path, choices in _CHOICES.items():
-        v = get_by_path(cfg, path)
-        _expect(v in choices, path, f"must be one of {choices}, got {v!r}")
-    for path in ("nucleus.p", "embed.decay"):
-        v = get_by_path(cfg, path)
-        _expect(0 < v <= 1, path, f"must lie in (0, 1], got {v!r}")
+# Every leaf at its default.
+DEFAULTS = _merge(SCHEMA, {}, "")
 
+
+def _check_values(cfg: dict) -> None:
+    """The checks that span fields: selector, prompt, files, keywords and zipf ranks."""
     selector = cfg["model"]["selector"]
     scheme, _, target = selector.partition(":")
     if scheme == "synthetic":
         _expect(target in KINDS, "model.selector", f"unknown synthetic kind {target!r}, expected one of {KINDS}")
-        try:
-            _build_profile(cfg)
-        except ValueError as exc:
-            raise ConfigError(f"model.synthetic: {exc}") from None
     elif scheme == "file":
         _expect(os.path.isfile(target), "model.selector", f"distribution file not found: {target!r}")
     else:
@@ -256,14 +238,6 @@ def _check_values(cfg: dict) -> None:
     zipf = cfg["zipf"]
     if zipf["max_rank"] is not None:
         _expect(zipf["max_rank"] >= zipf["min_rank"], "zipf.max_rank", "must be null or an integer >= zipf.min_rank")
-
-    # Constructing the config dataclasses runs their own validation; their
-    # messages already carry the field path.
-    try:
-        LtsConfig(**cfg["lts"])
-        _asts_config(cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 # --------------------------------------------------------------------------
@@ -536,7 +510,7 @@ def _sequence_job(index: int) -> dict:
 
 
 def run_generation(cfg: dict, audit: bool = False) -> list[dict]:
-    """All sequences of a run, in id order; parallel when workers > 1.
+    """All sequences of a run, in id order; parallel when workers and num_sequences are both > 1.
 
     The run's inputs are built once, here, so a broken input raises before
     any worker starts; each worker receives them once. ``audit`` keeps each
@@ -544,10 +518,10 @@ def run_generation(cfg: dict, audit: bool = False) -> list[dict]:
     """
     inputs = prepare_run(cfg, audit)
     indices = range(cfg["num_sequences"])
-    if cfg["workers"] > 1:
-        with ProcessPoolExecutor(
-            max_workers=cfg["workers"], initializer=_init_worker, initargs=(cfg, inputs)
-        ) as pool:
+    # The pool starts all its workers at once, so it gets no more than there are sequences.
+    workers = min(cfg["workers"], len(indices))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(cfg, inputs)) as pool:
             return list(pool.map(_sequence_job, indices))
     return [run_sequence(cfg, i, inputs) for i in indices]
 

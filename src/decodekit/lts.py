@@ -16,22 +16,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from decodekit.core import TokenDistribution, entropy, mass_count, restrict
+from decodekit.core import TokenDistribution, check_fields, entropy, leaf, mass_count, restrict
+
+MODES = ("band", "mass")
 
 
 @dataclass(frozen=True)
 class LtsConfig:
-    mode: str = "mass"  # "band" or "mass"
-    epsilon: float = 0.5  # band half-width around the entropy, nats
-    tau_mass: float = 0.95  # mass threshold for the mass variant
+    mode: str = leaf("mass", choices=MODES)
+    epsilon: float = leaf(0.5, lo=0.0)  # band half-width around the entropy, nats
+    tau_mass: float = leaf(0.95, above=0.0, hi=1.0)  # mass threshold for the mass variant
 
     def __post_init__(self) -> None:
-        if self.mode not in ("band", "mass"):
-            raise ValueError(f"lts.mode must be 'band' or 'mass', got {self.mode!r}")
-        if not self.epsilon >= 0.0:
-            raise ValueError(f"lts.epsilon must be >= 0, got {self.epsilon}")
-        if not 0.0 < self.tau_mass <= 1.0:
-            raise ValueError(f"lts.tau_mass must lie in (0, 1], got {self.tau_mass}")
+        check_fields(self, "lts")
 
 
 def _deviations(dist: TokenDistribution) -> tuple[np.ndarray, np.ndarray, float]:

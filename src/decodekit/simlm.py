@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from decodekit.core import DistributionError, Rng, TokenDistribution, Vocabulary, entropy, sample
+from decodekit.core import DistributionError, Rng, TokenDistribution, Vocabulary, check_fields, entropy, leaf, sample
 from decodekit.asts import GenerationContext
 
 KINDS = ("peaked", "flat", "mixed", "loop_prone")
@@ -45,23 +45,14 @@ _MIXED_FACTORS = (0.25, 1.0, 4.0)
 
 @dataclass(frozen=True)
 class LmProfile:
-    kind: str = "mixed"
-    base_temperature: float = 1.0
-    loop_gamma: float = 1.0
-    recency_window: int = 4
-    seed: int = 0
+    kind: str = leaf("mixed", choices=KINDS)
+    base_temperature: float = leaf(1.0, above=0.0)
+    loop_gamma: float = leaf(1.0, lo=1.0)
+    recency_window: int = leaf(4, lo=1)
+    seed: int = leaf(0, lo=0, hi=2**64 - 1)
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"profile kind must be one of {KINDS}, got {self.kind!r}")
-        if not (math.isfinite(self.base_temperature) and self.base_temperature > 0.0):
-            raise ValueError(f"base_temperature must be positive, got {self.base_temperature!r}")
-        if not self.loop_gamma >= 1.0:
-            raise ValueError(f"loop_gamma must be >= 1, got {self.loop_gamma!r}")
-        if self.recency_window < 1:
-            raise ValueError(f"recency_window must be >= 1, got {self.recency_window}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        check_fields(self, "model.synthetic")
 
 
 def _context_digest(profile: LmProfile, suffix: tuple[int, ...]) -> bytes:

@@ -317,13 +317,17 @@ def test_subnormal_asts_field_is_a_config_error(tmp_path, field):
 
 
 # (sampler, section overrides, field the error names): valid-typed extremes
-# whose steps overflow, or ints beyond the signed 64 bits numpy and deque take.
+# whose steps overflow, ints beyond the signed 64 bits numpy and deque take,
+# or sizes past the bounds that keep a synthetic embedding table within 1 GiB.
 CONFIG_EXTREMES = [
     ("asts", {"asts": {"lambda3": 1e308, "eps_div": 0.5}}, "asts.lambda3"),
     ("mirostat", {"mirostat": {"eta": 1e308}}, "mirostat.eta"),
     ("mirostat", {"mirostat": {"tau": 1e308}}, "mirostat.tau"),
     ("asts", {"asts": {"window_w": 10**30}}, "asts.window_w"),
     ("topk", {"topk": {"k": 10**30}}, "topk.k"),
+    ("asts", {"embed": {"dim": 2**62}}, "embed.dim"),
+    ("greedy", {"model": {"synthetic": {"vocab_size": 2**62}}}, "model.synthetic.vocab_size"),
+    ("greedy", {"model": {"synthetic": {"vocab_size": 2**40}}}, "model.synthetic.vocab_size"),
 ]
 
 

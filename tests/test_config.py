@@ -8,6 +8,7 @@ the documented exit codes and never in a traceback.
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from decodekit.cli import main
-from decodekit.harness import DEFAULTS, get_by_path, load_config
+from decodekit.harness import DEFAULTS, SCHEMA, get_by_path, load_config
 from decodekit.samplers import SAMPLER_NAMES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -117,9 +118,10 @@ class TestLeafTypes:
         assert get_by_path(load_config(write_config(tmp_path, cfg)), path) == value
 
 
-# No positive ints: ``workers`` = 10**5 would fork that many processes, and
-# a large ``max_tokens``, ``num_sequences``, ``vocab_size`` or ``embed.dim``
-# would run or allocate for as long.
+# No positive ints: a large ``max_tokens`` or ``num_sequences`` would run for
+# as long, and a ``workers``, ``vocab_size`` or ``embed.dim`` within its
+# bound would still start or allocate that much; the extremes sweep below
+# gives those leaves only values past their bounds.
 OTHER_KINDS = st.one_of(
     st.booleans(),
     st.sampled_from(["", "x", "0.5", "synthetic", "keywords"]),
@@ -140,6 +142,82 @@ def test_fuzz_one_leaf_exits_cleanly(tmp_path, monkeypatch, path, sampler, value
     cfg = small_config(tmp_path, sampler)
     set_leaf(cfg, path, value)
     assert run_generate(tmp_path, cfg) in {0, 1, 2, 3, 4}
+
+
+def numeric_leaves(schema: dict, prefix: str = "") -> dict:
+    """Dotted path -> ``leaf`` row of every int or float leaf in ``schema``."""
+    out = {}
+    for key, spec in schema.items():
+        if isinstance(spec, dict):
+            out.update(numeric_leaves(spec, f"{prefix}{key}."))
+        elif spec.metadata["kind"] in (int, float):
+            out[prefix + key] = spec
+    return out
+
+
+NUMERIC_LEAVES = numeric_leaves(SCHEMA)
+WORK_SIZING = {"max_tokens", "num_sequences", "workers", "model.synthetic.vocab_size", "embed.dim"}
+EXTREMES = [0, 2**63 - 1, 2**63, -(2**63), -(2**63) - 1]
+EXTREMES += [sign * v for v in (5e-324, 1e-310, 1e-300, 1e300, 1e308) for sign in (1, -1)]
+
+
+def extreme_values(spec) -> list:
+    """``EXTREMES``, then each declared bound of ``spec`` and one step past it on each side."""
+    rules = spec.metadata
+    values = list(EXTREMES)
+    for key in ("lo", "above", "hi"):
+        if key in rules:
+            bound = rules[key]
+            if rules["kind"] is int:
+                values += [bound - 1, bound, bound + 1]
+            else:
+                values += [math.nextafter(bound, -math.inf), bound, math.nextafter(bound, math.inf)]
+    return values
+
+
+def accepts(spec, value) -> bool:
+    """Whether ``value`` lies within the bounds ``spec`` declares (its type aside)."""
+    rules = spec.metadata
+    return (
+        ("lo" not in rules or value >= rules["lo"])
+        and ("above" not in rules or value > rules["above"])
+        and ("hi" not in rules or value <= rules["hi"])
+    )
+
+
+@pytest.mark.parametrize("sampler", SAMPLER_NAMES)
+def test_numeric_leaf_extremes_run_or_exit_two(tmp_path, monkeypatch, capsys, sampler):
+    """Every numeric leaf at valid-typed extremes: exit 0 with finite entropies, or exit 2; never a warning or traceback.
+
+    Work-sizing leaves take only values their bounds reject, so nothing large runs.
+    """
+    monkeypatch.delenv("DECODE_SEED", raising=False)
+    out = tmp_path / "out.jsonl"
+    failures = []
+    for path, spec in NUMERIC_LEAVES.items():
+        for value in extreme_values(spec):
+            if path in WORK_SIZING and accepts(spec, value):
+                continue
+            cfg = small_config(tmp_path, sampler)
+            set_leaf(cfg, path, value)
+            out.unlink(missing_ok=True)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    code = run_generate(tmp_path, cfg)
+                except Exception as exc:  # a traceback at the CLI
+                    failures.append((path, value, repr(exc)))
+                    continue
+            if caught:
+                failures.append((path, value, str(caught[0].message)))
+            elif code == 0:
+                traces = [json.loads(line)["entropy_trace"] for line in out.read_text(encoding="utf-8").splitlines()]
+                if not all(math.isfinite(h) for trace in traces for h in trace):
+                    failures.append((path, value, "non-finite entropy"))
+            elif code != 2:
+                failures.append((path, value, f"exit {code}"))
+    capsys.readouterr()
+    assert not failures
 
 
 def test_readme_configuration_block_is_the_defaults(tmp_path, monkeypatch):

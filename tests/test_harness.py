@@ -7,6 +7,7 @@ import pytest
 
 from decodekit.asts import CandidateScore, ScoreBreakdown
 from decodekit.core import TokenDistribution, default_vocabulary
+from decodekit.cli import main
 from decodekit.embed import load_table, save_table, synthetic_table
 from decodekit.harness import (
     ConfigError,
@@ -43,6 +44,29 @@ def base_overrides(tmp_path, **extra):
     }
     cfg.update(extra)
     return cfg
+
+
+def record_pools(monkeypatch) -> list:
+    """Stand in for the process pool: record each pool's size and run its jobs here, in order."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("decodekit.harness._worker_run", ())  # restored after the test
+    monkeypatch.setattr("decodekit.harness.ProcessPoolExecutor", RecordingPool)
+    return sizes
 
 
 class TestConfigLoading:
@@ -175,6 +199,22 @@ class TestGenerate:
         parallel = base_overrides(tmp_path, num_sequences=4, workers=3)
         cmd_generate(write_config(tmp_path, parallel, name="parallel.json"))
         assert (tmp_path / "out.jsonl").read_bytes() == serial_bytes
+
+    def test_pool_has_no_more_workers_than_sequences(self, tmp_path, monkeypatch):
+        pools = record_pools(monkeypatch)
+        serial = run_generation(load_config(write_config(tmp_path, base_overrides(tmp_path, num_sequences=2))))
+        cfg = load_config(write_config(tmp_path, base_overrides(tmp_path, num_sequences=2, workers=8)))
+        assert run_generation(cfg) == serial
+        assert pools == [2]
+        run_generation({**cfg, "num_sequences": 1})
+        assert pools == [2]  # one sequence runs serially, with no pool
+
+    def test_too_many_workers_exit_two_before_any_pool(self, tmp_path, monkeypatch, capsys):
+        pools = record_pools(monkeypatch)
+        cfg = write_config(tmp_path, base_overrides(tmp_path, workers=10**6))
+        assert main(["generate", "--config", str(cfg)]) == 2
+        assert "config error: workers: must be <= 256" in capsys.readouterr().err
+        assert pools == []
 
     def test_missing_embedding_table_fails_before_generation(self, tmp_path):
         overrides = base_overrides(
