@@ -23,6 +23,7 @@ to ranking the whole support with a stable sort:
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import Field, dataclass, field, fields
@@ -77,6 +78,22 @@ def check_fields(obj, prefix: str) -> None:
         check_leaf(f"{prefix}.{spec.name}", spec, getattr(obj, spec.name))
 
 
+def utf8_error(path) -> str:
+    """The message for a file ``path`` that failed to decode: the line of its first byte that is not UTF-8.
+
+    Text files decode in blocks, so the error's own offset is the block's;
+    this reads the file again, on that error path only.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        return f"{path}: line {lineno}: not UTF-8 text"
+    return f"{path}: not UTF-8 text"
+
+
 class DistributionError(ValueError):
     """Raised when an array fails the TokenDistribution invariants."""
 
@@ -113,8 +130,15 @@ class Vocabulary:
             raise KeyError(f"token {token!r} not in vocabulary") from None
 
 
+@functools.lru_cache(maxsize=4)
 def default_vocabulary(size: int = 256) -> Vocabulary:
-    """Synthetic vocabulary ``tok000 .. tokNNN`` used by desk-scale runs."""
+    """Synthetic vocabulary ``tok000 .. tokNNN`` used by desk-scale runs.
+
+    One shared instance per size: the last few sizes asked for are kept, so
+    every model, sweep value and report in a process reads the same
+    immutable vocabulary. At the largest ``vocab_size`` (2**18) one holds
+    about 32 MiB.
+    """
     # One %-format over the whole range builds the names several times
     # faster than an f-string per token.
     return Vocabulary.from_tokens((("tok%03d " * size) % tuple(range(size))).split())

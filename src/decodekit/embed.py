@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from decodekit.core import Vocabulary
+from decodekit.core import Vocabulary, utf8_error
 
 
 # The widest row a file may declare; numpy cannot shape a dim near 2**63.
@@ -51,8 +51,10 @@ class EmbeddingTable:
 def load_table(path) -> EmbeddingTable:
     """Parse a text embedding file; format errors carry 1-based line numbers.
 
-    All rows are parsed into one ``(count, dim)`` matrix, checked for
-    non-finite components in one pass; each vector is a read-only row of it.
+    All rows are parsed into one ``(count, dim)`` matrix, checked in one
+    pass for non-finite components and for a norm that is zero or
+    overflows (cosine alignment divides by it, and squares it on the way);
+    each vector is a read-only row of it.
     """
     tokens: list[str] = []
     linenos: list[int] = []
@@ -61,48 +63,56 @@ def load_table(path) -> EmbeddingTable:
 
     def matrix() -> np.ndarray:
         mat = np.array(values, dtype=np.float64).reshape(len(tokens), dim)
-        bad = np.flatnonzero(~np.isfinite(mat).all(axis=1))
+        with np.errstate(over="ignore", under="ignore"):
+            squared = np.vecdot(mat, mat)  # NaN or inf where a component is not finite
+        bad = np.flatnonzero(~((squared > 0.0) & (squared < np.inf)))
         if bad.size:
             i = int(bad[0])
-            raise EmbeddingFormatError(f"{path}: line {linenos[i]}: non-finite component for {tokens[i]!r}")
+            what = "non-finite component" if not np.isfinite(mat[i]).all() else "zero or overflowing norm"
+            raise EmbeddingFormatError(f"{path}: line {linenos[i]}: {what} for {tokens[i]!r}")
         return mat
 
     def fail(lineno: int, message: str):
         matrix()  # a non-finite row above this line is the file's first error
         raise EmbeddingFormatError(f"{path}: line {lineno}: {message}")
 
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.strip():
-            raise EmbeddingFormatError(f"{path}: line 1: missing '<count> <dim>' header")
-        parts = header.split()
-        if len(parts) != 2:
-            raise EmbeddingFormatError(f"{path}: line 1: header must be '<count> <dim>'")
-        try:
-            count, dim = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise EmbeddingFormatError(f"{path}: line 1: header fields must be integers") from None
-        if count < 0 or not 1 <= dim <= MAX_DIM:
-            raise EmbeddingFormatError(f"{path}: line 1: invalid header values {count} {dim} (dim at most {MAX_DIM})")
-        for lineno, line in enumerate(fh, start=2):
-            fields = line.split()
-            if not fields:
-                continue
-            token = fields[0]
-            if len(fields) != dim + 1:
-                fail(lineno, f"expected {dim} values for {token!r}, got {len(fields) - 1}")
-            if token in seen:
-                fail(lineno, f"duplicate token {token!r}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline()
+            if not header.strip():
+                raise EmbeddingFormatError(f"{path}: line 1: missing '<count> <dim>' header")
+            parts = header.split()
+            if len(parts) != 2:
+                raise EmbeddingFormatError(f"{path}: line 1: header must be '<count> <dim>'")
             try:
-                row = list(map(float, fields[1:]))
+                count, dim = int(parts[0]), int(parts[1])
             except ValueError:
-                row = None
-            if row is None:
-                fail(lineno, f"non-numeric component for {token!r}")
-            seen.add(token)
-            tokens.append(token)
-            linenos.append(lineno)
-            values += row
+                raise EmbeddingFormatError(f"{path}: line 1: header fields must be integers") from None
+            if count < 0 or not 1 <= dim <= MAX_DIM:
+                raise EmbeddingFormatError(
+                    f"{path}: line 1: invalid header values {count} {dim} (dim at most {MAX_DIM})"
+                )
+            for lineno, line in enumerate(fh, start=2):
+                fields = line.split()
+                if not fields:
+                    continue
+                token = fields[0]
+                if len(fields) != dim + 1:
+                    fail(lineno, f"expected {dim} values for {token!r}, got {len(fields) - 1}")
+                if token in seen:
+                    fail(lineno, f"duplicate token {token!r}")
+                try:
+                    row = list(map(float, fields[1:]))
+                except ValueError:
+                    row = None
+                if row is None:
+                    fail(lineno, f"non-numeric component for {token!r}")
+                seen.add(token)
+                tokens.append(token)
+                linenos.append(lineno)
+                values += row
+    except UnicodeDecodeError:
+        raise EmbeddingFormatError(utf8_error(path)) from None
     mat = matrix()
     if len(tokens) != count:
         raise EmbeddingFormatError(

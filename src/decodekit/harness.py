@@ -30,7 +30,9 @@ import numpy as np
 from decodekit import golden, metrics, simlm
 from decodekit.asts import AstsConfig, ConstantScores, EmbeddingAlignment, KeywordRelevance
 from decodekit.baselines import MirostatState, greedy_restrict, nucleus_restrict, topk_restrict
-from decodekit.core import DistributionError, TokenDistribution, Vocabulary, check_leaf, default_vocabulary, leaf
+from decodekit.core import (
+    DistributionError, TokenDistribution, Vocabulary, check_leaf, default_vocabulary, leaf, utf8_error
+)
 from decodekit.embed import EmbeddingFormatError, load_table, synthetic_table
 from decodekit.lts import LtsConfig, lts_restrict
 from decodekit.metrics import SequenceCorpus, UniformScorer
@@ -142,6 +144,8 @@ def load_config(path) -> dict:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(utf8_error(path)) from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top-level config must be a JSON object")
     env_seed = os.environ.get("DECODE_SEED")
@@ -321,6 +325,8 @@ def _load_replay_model(path: str) -> ReplayModel:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not valid JSON: {exc}") from None
+    except UnicodeDecodeError:
+        raise DataError(utf8_error(path)) from None
     if not isinstance(doc, dict) or "tokens" not in doc or "steps" not in doc:
         raise DataError(f"{path}: distribution file needs 'tokens' and 'steps' keys")
     tokens = doc["tokens"]
@@ -374,7 +380,7 @@ def _build_alignment(cfg: dict, vocab: Vocabulary):
         missing = table.covers(vocab)
         if missing:
             raise DataError(
-                f"embed.table: {len(missing)} vocabulary tokens lack embeddings "
+                f"embed.table: {e['table']}: {len(missing)} vocabulary tokens lack embeddings "
                 f"(first missing: {missing[0]!r})"
             )
     return EmbeddingAlignment(
@@ -509,14 +515,16 @@ def _sequence_job(index: int) -> dict:
     return run_sequence(cfg, index, inputs)
 
 
-def run_generation(cfg: dict, audit: bool = False) -> list[dict]:
+def run_generation(cfg: dict, audit: bool = False, inputs: RunInputs | None = None) -> list[dict]:
     """All sequences of a run, in id order; parallel when workers and num_sequences are both > 1.
 
     The run's inputs are built once, here, so a broken input raises before
     any worker starts; each worker receives them once. ``audit`` keeps each
     ASTS step's audit line (``ScoreBreakdown.to_json_line``) in the records.
+    ``inputs`` are the run's ``prepare_run(cfg, audit)``, when the caller
+    already has them.
     """
-    inputs = prepare_run(cfg, audit)
+    inputs = inputs or prepare_run(cfg, audit)
     indices = range(cfg["num_sequences"])
     # The pool starts all its workers at once, so it gets no more than there are sequences.
     workers = min(cfg["workers"], len(indices))
@@ -603,12 +611,15 @@ def cmd_sweep(config_path, param: str, values, metric: str, reps: int, out_path)
         for path in paths:
             set_by_path(cfg, path, value)
         cfg = _checked(cfg)
-        model = build_model(cfg)
+        # The inputs depend on no seed, so every rep shares them.
+        inputs = prepare_run(cfg)
+        model = inputs.model
         zipf = cfg["zipf"]
         samples = []
         for r in range(reps):
             run_cfg = dict(cfg, seed=cfg["seed"] + r * cfg["num_sequences"])
-            corpus = SequenceCorpus(tuple(tuple(rec["token_ids"]) for rec in run_generation(run_cfg)), model.vocab)
+            records = run_generation(run_cfg, inputs=inputs)
+            corpus = SequenceCorpus(tuple(tuple(rec["token_ids"]) for rec in records), model.vocab)
             scored = metrics.CorpusMetrics(corpus, model.score, zipf["min_rank"], zipf["max_rank"])
             with _metric_domain():
                 samples.append(scored[metric])
@@ -629,23 +640,26 @@ def _load_corpus_tokens(path, fmt: str) -> list[list[str]]:
         fh = open(path, "r", encoding="utf-8")
     except FileNotFoundError:
         raise DataError(f"corpus file not found: {path}") from None
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            if fmt == "text":
-                sequences.append(line.split())
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: line {lineno}: not valid JSON: {exc}") from None
-            if not isinstance(obj, dict) or not isinstance(obj.get("tokens"), list):
-                raise DataError(f"{path}: line {lineno}: expected an object with a 'tokens' list")
-            toks = obj["tokens"]
-            if not all(isinstance(t, str) for t in toks):
-                raise DataError(f"{path}: line {lineno}: tokens must all be strings")
-            sequences.append(list(toks))
+    try:
+        with fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                if fmt == "text":
+                    sequences.append(line.split())
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DataError(f"{path}: line {lineno}: not valid JSON: {exc}") from None
+                if not isinstance(obj, dict) or not isinstance(obj.get("tokens"), list):
+                    raise DataError(f"{path}: line {lineno}: expected an object with a 'tokens' list")
+                toks = obj["tokens"]
+                if not all(isinstance(t, str) for t in toks):
+                    raise DataError(f"{path}: line {lineno}: tokens must all be strings")
+                sequences.append(list(toks))
+    except UnicodeDecodeError:
+        raise DataError(utf8_error(path)) from None
     if not sequences:
         raise DataError(f"{path}: file contains no token sequences")
     return sequences

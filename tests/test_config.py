@@ -61,8 +61,8 @@ def write_config(tmp_path, cfg: dict) -> str:
     return str(path)
 
 
-def run_generate(tmp_path, cfg: dict) -> int:
-    return main(["generate", "--config", write_config(tmp_path, cfg)])
+def run_generate(tmp_path, cfg: dict, *extra: str) -> int:
+    return main(["generate", "--config", write_config(tmp_path, cfg), *extra])
 
 
 BAD_CONFIGS = [
@@ -186,14 +186,28 @@ def accepts(spec, value) -> bool:
     )
 
 
+def audit_probabilities_sum_to_one(audit: Path) -> bool:
+    """Whether every line of the audit file has finite final probabilities summing to 1 within 1e-9."""
+    for line in audit.read_text(encoding="utf-8").splitlines():
+        probs = [c["final_probability"] for c in json.loads(line)["candidates"]]
+        if not (all(math.isfinite(p) for p in probs) and abs(math.fsum(probs) - 1.0) <= 1e-9):
+            return False
+    return True
+
+
 @pytest.mark.parametrize("sampler", SAMPLER_NAMES)
 def test_numeric_leaf_extremes_run_or_exit_two(tmp_path, monkeypatch, sampler):
     """Every numeric leaf at valid-typed extremes: exit 0 with finite entropies, or exit 2; never a warning or traceback.
 
-    Work-sizing leaves take only values their bounds reject, so nothing large runs.
+    An ASTS run also writes its audit, and on exit 0 each step's final
+    probabilities must be finite and sum to 1. An adjusted weight may read
+    Infinity: the audit records the overflow it was clipped from. Work-sizing
+    leaves take only values their bounds reject, so nothing large runs.
     """
     monkeypatch.delenv("DECODE_SEED", raising=False)
     out = tmp_path / "out.jsonl"
+    audit = tmp_path / "audit.jsonl"
+    audit_args = ("--audit", str(audit)) if sampler == "asts" else ()
     failures = []
     for path, spec in NUMERIC_LEAVES.items():
         for value in extreme_values(spec):
@@ -205,7 +219,7 @@ def test_numeric_leaf_extremes_run_or_exit_two(tmp_path, monkeypatch, sampler):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 try:
-                    code = run_generate(tmp_path, cfg)
+                    code = run_generate(tmp_path, cfg, *audit_args)
                 except Exception as exc:  # a traceback at the CLI
                     failures.append((path, value, repr(exc)))
                     continue
@@ -215,6 +229,8 @@ def test_numeric_leaf_extremes_run_or_exit_two(tmp_path, monkeypatch, sampler):
                 traces = [json.loads(line)["entropy_trace"] for line in out.read_text(encoding="utf-8").splitlines()]
                 if not all(math.isfinite(h) for trace in traces for h in trace):
                     failures.append((path, value, "non-finite entropy"))
+                if audit_args and not audit_probabilities_sum_to_one(audit):
+                    failures.append((path, value, "audited final_probability non-finite or not summing to 1"))
             elif code != 2:
                 failures.append((path, value, f"exit {code}"))
     assert not failures

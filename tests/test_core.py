@@ -68,6 +68,20 @@ class TestVocabulary:
     def test_default_vocabulary_equals_per_token_names(self, n):
         assert default_vocabulary(n).tokens == tuple(f"tok{i:03d}" for i in range(n))
 
+    def test_default_vocabulary_is_one_instance_per_size(self):
+        assert default_vocabulary(48) is default_vocabulary(48)
+        small, large = default_vocabulary(48), default_vocabulary(1200)
+        assert small is not large
+        assert small.tokens == tuple(f"tok{i:03d}" for i in range(48))
+        assert large.tokens == tuple(f"tok{i:03d}" for i in range(1200))
+        assert large.index["tok1199"] == 1199
+
+    def test_default_vocabulary_cache_is_bounded(self):
+        maxsize = default_vocabulary.cache_parameters()["maxsize"]
+        for n in range(2, maxsize + 5):
+            default_vocabulary(n)
+        assert default_vocabulary.cache_info().currsize <= maxsize
+
 
 class TestTokenDistribution:
     def test_validates_sum(self, seven_vocab):

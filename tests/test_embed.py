@@ -95,6 +95,18 @@ class TestLoadTable:
         with pytest.raises(EmbeddingFormatError, match="line 5: non-finite component for 'gamma'"):
             load_table(path)
 
+    @pytest.mark.parametrize("row", ["0 0 -0.0", "1e-200 0 1e-200", "1e200 1 0", "-1e300 -1e300 0"])
+    def test_zero_or_overflowing_norm_names_the_line(self, tmp_path, row):
+        path = write_table(tmp_path, f"2 3\nalpha 1 0 0\n\nbeta {row}\n")
+        with pytest.raises(EmbeddingFormatError, match="line 4: zero or overflowing norm for 'beta'"):
+            load_table(path)
+
+    def test_byte_not_utf8_names_the_line(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"2 2\nalpha 1 0\nb\xffeta 0 1\n")
+        with pytest.raises(EmbeddingFormatError, match="line 3: not UTF-8 text"):
+            load_table(path)
+
     def test_rows_parse_like_python_floats(self, tmp_path):
         path = write_table(tmp_path, "2 3\nalpha 1_0 -0.0 1e-320\nbeta .5 +3 7\n")
         table = load_table(path)

@@ -96,6 +96,12 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(path)
 
+    def test_config_not_utf8_names_the_line(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"seed": 5,\n "output": {"corpus": "caf\xe9.jsonl"}}\n')
+        with pytest.raises(ConfigError, match="line 2: not UTF-8 text"):
+            load_config(path)
+
     def test_non_object_top_level(self, tmp_path):
         path = tmp_path / "arr.json"
         path.write_text("[1, 2]", encoding="utf-8")
@@ -458,6 +464,18 @@ class TestSweep:
         with pytest.raises(ConfigError, match="tau"):
             self.sweep(tmp_path, values=(0.5, 1.5))
 
+    def test_run_inputs_built_once_per_value(self, tmp_path, monkeypatch):
+        calls = []
+
+        def recording(cfg, audit=False):
+            calls.append(cfg["lts"]["tau_mass"])
+            return prepare_run(cfg, audit)
+
+        monkeypatch.setattr("decodekit.harness.prepare_run", recording)
+        rows, _ = self.sweep(tmp_path, values=(0.3, 0.8), reps=3)
+        assert calls == [0.3, 0.8]
+        assert len(rows) == 2
+
 
 class TestMetricsCmd:
     def generated(self, tmp_path):
@@ -496,6 +514,14 @@ class TestMetricsCmd:
         modeled = cmd_metrics(corpus, config_path=cfg_path)
         assert modeled.ppl > 0 and modeled.ppl != uniform.ppl
 
+    def test_shared_vocabulary_is_left_unchanged(self, tmp_path):
+        vocab = default_vocabulary(32)
+        tokens, index = vocab.tokens, dict(vocab.index)
+        corpus, cfg_path = self.generated(tmp_path)
+        cmd_metrics(corpus, config_path=cfg_path)
+        assert build_model(load_config(cfg_path)).vocab is vocab
+        assert vocab.tokens == tokens and vocab.index == index
+
     def test_short_corpus_is_metric_error(self, tmp_path):
         path = tmp_path / "short.jsonl"
         path.write_text('{"tokens": ["a", "b", "c"]}\n', encoding="utf-8")
@@ -517,6 +543,12 @@ class TestMetricsCmd:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
             cmd_metrics(tmp_path / "ghost.jsonl")
+
+    def test_corpus_not_utf8_names_the_line(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        path.write_bytes(b"a b a b a b\n" * 2000 + b"c d \xe9 d\n")
+        with pytest.raises(DataError, match="line 2001: not UTF-8 text"):
+            cmd_metrics(path, fmt="text")
 
     def test_bad_format_name(self, tmp_path):
         corpus, _ = self.generated(tmp_path)
