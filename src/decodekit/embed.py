@@ -73,7 +73,7 @@ def load_table(path) -> EmbeddingTable:
         return mat
 
     def fail(lineno: int, message: str):
-        matrix()  # a non-finite row above this line is the file's first error
+        matrix()  # a bad vector above this line is the file's first error
         raise EmbeddingFormatError(f"{path}: line {lineno}: {message}")
 
     try:
