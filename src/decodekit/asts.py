@@ -53,9 +53,6 @@ from decodekit.lts import band_ids
 
 ADJUST_FORMS = ("example", "eq13")
 
-# exp(x) is finite for every x <= log(float max).
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
-
 
 class ProviderError(RuntimeError):
     """A score provider failed or produced an unusable value."""
@@ -326,6 +323,8 @@ class KeywordRelevance:
 
 
 def _provider_values(name: str, provider, ctx, candidate_ids, vocab: Vocabulary) -> np.ndarray:
+    if type(provider) is ConstantScores and type(provider.value) is float and math.isfinite(provider.value):
+        return provider(ctx, candidate_ids)  # the right shape and finite, by construction
     try:
         vals = np.asarray(provider(ctx, candidate_ids), dtype=np.float64)
     except ProviderError:
@@ -365,6 +364,29 @@ def asts_step(
     built-in reference check can replay externally supplied score tables
     through the live pipeline. Returns (final distribution, ScoreBreakdown).
     """
+    final, breakdown = asts_step_deferred(
+        dist, ctx, cfg, alignment, relevance, diversity_fn, repetition_fn, composite_fn, reward_fn
+    )
+    return final, breakdown()
+
+
+def asts_step_deferred(
+    dist: TokenDistribution,
+    ctx: GenerationContext,
+    cfg: AstsConfig,
+    alignment,
+    relevance,
+    diversity_fn=None,
+    repetition_fn=None,
+    composite_fn=None,
+    reward_fn=None,
+):
+    """``asts_step`` with its breakdown deferred: (final distribution, a function that builds the ScoreBreakdown).
+
+    The work only a breakdown reads (the literal adjusted weights, the score
+    columns and their sum check) runs when that function is called, so a
+    caller that keeps no audit skips it.
+    """
     vocab = dist.vocab
     h = entropy(dist)
     sigma = sigma_entropy(ctx.entropy_window, cfg.sigma_prior)
@@ -400,29 +422,29 @@ def asts_step(
         exponent = comp + rew
     else:  # "eq13": reward-only exponent, shifted by the input probability
         exponent = rew - p_in
-    # The audit trail records the literal adjusted weights, inf where exp
-    # overflows; normalisation subtracts the max exponent first so extreme
-    # scores cannot overflow. p_in is positive, so every shifted weight is
-    # finite and nonnegative exactly when the max exponent is finite.
+    # Normalisation subtracts the max exponent first so extreme scores
+    # cannot overflow. p_in is positive, so every shifted weight is finite
+    # and nonnegative exactly when the max exponent is finite.
     top = exponent.max()
     if not math.isfinite(top):
         raise DistributionError("weights must be finite")
-    if top > _LOG_FLOAT_MAX:
-        with np.errstate(over="ignore"):
-            adjusted = p_in * np.exp(exponent)
-    else:
-        adjusted = p_in * np.exp(exponent)
     w = p_in * np.exp(exponent - top)
     q = w / scatter(len(vocab), ids, w)[1]
     final = scattered(vocab, ids, tempered_weights(q, cfg.temperature))
 
-    columns = dict(
-        zip(
-            SCORE_COLUMNS,
-            (p_in, surp, coh, sa, div, comp, relv, rep, rew, adjusted, final.probs[ids]),
+    def breakdown() -> ScoreBreakdown:
+        # The audit records the literal adjusted weights, inf where exp overflows.
+        with np.errstate(over="ignore"):
+            adjusted = p_in * np.exp(exponent)
+        columns = (p_in, surp, coh, sa, div, comp, relv, rep, rew, adjusted, final.probs[ids])
+        return ScoreBreakdown(
+            entropy=h,
+            sigma=sigma,
+            alpha=alpha,
+            beta=beta,
+            vocab=vocab,
+            token_ids=candidate_ids,
+            columns=dict(zip(SCORE_COLUMNS, columns)),
         )
-    )
-    breakdown = ScoreBreakdown(
-        entropy=h, sigma=sigma, alpha=alpha, beta=beta, vocab=vocab, token_ids=candidate_ids, columns=columns
-    )
+
     return final, breakdown

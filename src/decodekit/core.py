@@ -193,7 +193,7 @@ class TokenDistribution:
 
     def support(self) -> np.ndarray:
         """Ids of tokens carrying positive probability."""
-        return np.flatnonzero(self.probs > 0.0)
+        return (self.probs > 0.0).nonzero()[0]
 
 
 def softmax(vocab: Vocabulary, logits) -> TokenDistribution:
@@ -217,7 +217,7 @@ def entropy(dist: TokenDistribution) -> float:
     h = dist.__dict__.get("_entropy")
     if h is None:
         p = dist.probs[dist.probs >= ENTROPY_FLOOR]
-        h = float(-np.sum(p * np.log(p))) if p.size else 0.0
+        h = float(-(p * np.log(p)).sum()) if p.size else 0.0
         object.__setattr__(dist, "_entropy", h)
     return h
 
@@ -273,7 +273,8 @@ def scatter(size: int, ids: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.f
 def scattered(vocab: Vocabulary, ids: np.ndarray, w: np.ndarray) -> TokenDistribution:
     """The distribution proportional to the weights ``w`` of the tokens ``ids``, zero elsewhere."""
     dense, total = scatter(len(vocab), ids, w)
-    return TokenDistribution._checked_by_caller(vocab, dense / total)
+    dense /= total
+    return TokenDistribution._checked_by_caller(vocab, dense)
 
 
 def tempered_weights(q: np.ndarray, temperature: float) -> np.ndarray:
@@ -282,14 +283,14 @@ def tempered_weights(q: np.ndarray, temperature: float) -> np.ndarray:
     Computed in log space so extreme temperatures neither underflow nor
     overflow the largest weight, which is exactly 1.
     """
-    pos = q > 0.0
-    if not pos.any():
+    with np.errstate(divide="ignore"):
+        scaled = np.log(q)  # -inf where q is 0, and exp(-inf - top) is 0
+    scaled /= temperature
+    top = scaled.max()
+    if top == -math.inf:
         raise DistributionError("temperature_scale: support carries no probability mass")
-    # log is taken only where q > 0; every other entry stays -inf.
-    logq = np.log(q, where=pos, out=np.full_like(q, -np.inf))
-    scaled = logq / temperature
-    scaled -= scaled[pos].max()
-    return np.exp(scaled, where=np.isfinite(scaled), out=np.zeros_like(scaled))
+    scaled -= top
+    return np.exp(scaled, out=scaled)
 
 
 def normalize(vocab: Vocabulary, weights, support=None) -> TokenDistribution:
@@ -340,7 +341,7 @@ def mass_count(ranked: np.ndarray, mass: float) -> int:
     Never less than 1; one more than ``ranked.size`` when the whole sum falls
     short of ``mass``.
     """
-    return int(np.searchsorted(np.cumsum(ranked), mass, side="left")) + 1
+    return int(ranked.cumsum().searchsorted(mass, side="left")) + 1
 
 
 def temperature_scale(dist: TokenDistribution, temperature: float, support=None) -> TokenDistribution:
@@ -385,10 +386,10 @@ def sample(dist: TokenDistribution, rng: Rng) -> int:
     stream positions. Zero-probability tokens are never returned.
     """
     u = rng.uniform()
-    cum = np.cumsum(dist.probs)
-    idx = int(np.searchsorted(cum, u * cum[-1], side="right"))
-    if idx >= len(dist):
-        idx = len(dist) - 1
+    cum = dist.probs.cumsum()
+    idx = int(cum.searchsorted(u * cum[-1], side="right"))
+    if idx >= cum.size:
+        idx = cum.size - 1
     # Guard against landing on a zero-probability tail entry when u ~ 1.
     while idx > 0 and dist.probs[idx] <= 0.0:
         idx -= 1

@@ -142,6 +142,8 @@ def load_config(path) -> dict:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from None
     except UnicodeDecodeError:
@@ -323,6 +325,8 @@ def _load_replay_model(path: str) -> ReplayModel:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: not valid JSON: {exc}") from None
     except UnicodeDecodeError:
@@ -377,6 +381,8 @@ def _build_alignment(cfg: dict, vocab: Vocabulary):
             table = load_table(e["table"])
         except EmbeddingFormatError as exc:
             raise DataError(str(exc)) from None
+        except OSError as exc:
+            raise DataError(f"embed.table: {e['table']}: cannot read: {exc.strerror}") from None
         missing = table.covers(vocab)
         if missing:
             raise DataError(
@@ -477,6 +483,8 @@ def run_sequence(cfg: dict, index: int, inputs: RunInputs | None = None) -> dict
         # before the step raises; the ConfigError below is the one report.
         with np.errstate(over="ignore", invalid="ignore"):
             sampler = build_sampler(cfg, vocab, inputs.providers)
+            if isinstance(sampler, AstsSampler) and not inputs.audit:
+                sampler.breakdowns = None  # keep no audit, so build no breakdowns
             tokens, trace = simlm.drive(
                 model.next,
                 sampler,
@@ -545,10 +553,32 @@ def _open_out(path):
     return open(path, "w", encoding="utf-8", newline="\n")
 
 
+def _check_writable(path, what: str) -> None:
+    """Raise ConfigError naming ``what`` unless ``_open_out`` could open ``path``.
+
+    Called before any work. It opens ``path`` for appending, which truncates
+    nothing, and removes it again if that created it. Missing parent
+    directories are created, as ``_open_out`` would create them.
+    """
+    existed = os.path.lexists(path)
+    try:
+        parent = os.path.dirname(os.fspath(path))
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+        open(path, "a").close()
+    except OSError as exc:
+        raise ConfigError(f"{what}: cannot write {os.fspath(path)!r}: {exc}") from None
+    if not existed:
+        os.remove(path)
+
+
 def cmd_generate(config_path, audit_path=None) -> list[dict]:
     cfg = load_config(config_path)
     out_path = cfg["output"]["corpus"]
     _expect(bool(out_path), "output.corpus", "output path required for generate")
+    _check_writable(out_path, "output.corpus")
+    if audit_path is not None:
+        _check_writable(audit_path, "audit")
     # Input errors (a broken embedding table, an unknown prompt token) raise
     # from prepare_run, before any output file is opened.
     records = run_generation(cfg, audit=audit_path is not None)
@@ -604,6 +634,7 @@ def cmd_sweep(config_path, param: str, values, metric: str, reps: int, out_path)
         raise ConfigError(f"metric: unknown metric {metric!r}, expected one of {tuple(metrics.METRICS)}")
     if reps < 1:
         raise ConfigError(f"reps: must be >= 1, got {reps}")
+    _check_writable(out_path, "out")
 
     rows: list[SweepRow] = []
     for value in values:
@@ -640,6 +671,8 @@ def _load_corpus_tokens(path, fmt: str) -> list[list[str]]:
         fh = open(path, "r", encoding="utf-8")
     except FileNotFoundError:
         raise DataError(f"corpus file not found: {path}") from None
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror}") from None
     try:
         with fh:
             for lineno, line in enumerate(fh, start=1):
@@ -682,12 +715,15 @@ def cmd_metrics(
     """
     if fmt not in ("jsonl", "text"):
         raise ConfigError(f"format: must be 'jsonl' or 'text', got {fmt!r}")
+    cfg = load_config(config_path) if config_path is not None else None
+    for path, what in ((out_path, "out"), (csv_path, "csv")):
+        if path is not None:
+            _check_writable(path, what)
     gen_tokens = _load_corpus_tokens(generated_path, fmt)
-    ref_tokens = _load_corpus_tokens(reference_path, fmt) if reference_path else None
+    ref_tokens = _load_corpus_tokens(reference_path, fmt) if reference_path is not None else None
 
     zipf = DEFAULTS["zipf"]
-    if config_path is not None:
-        cfg = load_config(config_path)
+    if cfg is not None:
         model = build_model(cfg)
         vocab = model.vocab
         scorer = model.score

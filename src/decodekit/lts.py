@@ -50,9 +50,9 @@ def band_ids(dist: TokenDistribution, alpha: float, beta: float) -> np.ndarray:
     if alpha > beta:
         raise ValueError(f"band bounds out of order: alpha={alpha} > beta={beta}")
     ids, surp, h = _deviations(dist)
-    inside = (surp >= alpha) & (surp <= beta)
-    if inside.any():
-        return ids[inside]
+    kept = ids[(surp >= alpha) & (surp <= beta)]
+    if kept.size:
+        return kept
     best = int(np.argmin(np.abs(surp - h)))  # argmin returns the lowest id on ties
     return ids[best : best + 1]
 
@@ -76,10 +76,10 @@ def typical_set_mass(dist: TokenDistribution, tau: float) -> TokenDistribution:
         raise ValueError(f"tau must lie in (0, 1], got {tau}")
     ids, surp, h = _deviations(dist)
     dev = np.abs(surp - h)
-    order = np.argsort(dev)
+    order = dev.argsort()
     ranked = dev[order]
-    if np.any(ranked[1:] == ranked[:-1]):
-        order = np.argsort(dev, kind="stable")  # ids ascend, so ties keep id order
+    if (ranked[1:] == ranked[:-1]).any():
+        order = dev.argsort(kind="stable")  # ids ascend, so ties keep id order
     ranked_ids = ids[order]
     return restrict(dist, ranked_ids[: mass_count(dist.probs[ranked_ids], tau)])
 

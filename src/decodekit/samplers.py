@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from decodekit.asts import AstsConfig, ScoreBreakdown, asts_step
+from decodekit.asts import AstsConfig, ScoreBreakdown, asts_step, asts_step_deferred
 from decodekit.baselines import MirostatState, mirostat_step
 from decodekit.core import TokenDistribution
 
@@ -49,14 +49,20 @@ class MirostatSampler:
 
 @dataclass
 class AstsSampler:
-    """ASTS adapter; collects one ScoreBreakdown per step for the audit log."""
+    """ASTS adapter; collects one ScoreBreakdown per step for the audit log.
+
+    With ``breakdowns`` None it keeps none, and each step skips the work
+    only a breakdown reads.
+    """
 
     cfg: AstsConfig
     alignment: object
     relevance: object
-    breakdowns: list[ScoreBreakdown] = field(default_factory=list)
+    breakdowns: list[ScoreBreakdown] | None = field(default_factory=list)
 
     def restrict(self, dist: TokenDistribution, ctx) -> TokenDistribution:
+        if self.breakdowns is None:
+            return asts_step_deferred(dist, ctx, self.cfg, self.alignment, self.relevance)[0]
         final, breakdown = asts_step(dist, ctx, self.cfg, self.alignment, self.relevance)
         self.breakdowns.append(breakdown)
         return final

@@ -87,16 +87,24 @@ def _weights(profile: LmProfile, suffix: tuple[int, ...], size: int) -> np.ndarr
     # Below it, Python floats overflow without a warning, so the lowest
     # score tells exactly when to silence numpy.
     if temperature >= 1e-300 or math.isfinite(float(scores.min()) / temperature - top):
-        return np.exp(scores / temperature - top)
+        return _shifted_exp(scores, temperature, top)
     with np.errstate(over="ignore"):
-        return np.exp(scores / temperature - top)
+        return _shifted_exp(scores, temperature, top)
+
+
+def _shifted_exp(scores: np.ndarray, temperature: float, top: float) -> np.ndarray:
+    """``np.exp(scores / temperature - top)``, computed in place in ``scores``."""
+    scores /= temperature
+    scores -= top
+    return np.exp(scores, out=scores)
 
 
 def next_distribution(profile: LmProfile, ctx, vocab: Vocabulary) -> TokenDistribution:
     """Next-token distribution after ``ctx``, a GenerationContext or a sliceable id sequence."""
     history = getattr(ctx, "history", ctx)
     w = _weights(profile, tuple(history[-profile.recency_window :]), len(vocab))
-    return TokenDistribution._checked_by_caller(vocab, w / w.sum())
+    w /= w.sum()
+    return TokenDistribution._checked_by_caller(vocab, w)
 
 
 def token_probabilities(profile: LmProfile, seq, size: int) -> list[float]:

@@ -10,12 +10,12 @@ third the truncation rules that kept a boolean mask over the vocabulary.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict
 
 import numpy as np
 
 from decodekit.asts import (
-    _LOG_FLOAT_MAX,
     SCORE_COLUMNS,
     AstsConfig,
     CandidateScore,
@@ -26,6 +26,9 @@ from decodekit.asts import (
 )
 from decodekit.core import DistributionError, TokenDistribution, Vocabulary, entropy, mass_count
 from decodekit.lts import _deviations
+
+# exp(x) is finite for every x <= log(float max).
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def coherence_score(surprisal_x: float, h_t: float) -> float:

@@ -397,6 +397,12 @@ class TestPipelineBehaviour:
         with pytest.raises(ProviderError, match="analyze"):
             asts_step(seven_dist, GenerationContext(), FIXTURE_CFG, bad, ConstantScores())
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 10**400, "high"])
+    def test_unusable_constant_provider_is_checked_like_any_other(self, seven_dist, value):
+        # Only a finite float constant skips the checks; every other value keeps their message.
+        with pytest.raises(ProviderError, match="alignment provider (failed|returned a non-finite score)"):
+            asts_step(seven_dist, GenerationContext(), FIXTURE_CFG, ConstantScores(value), ConstantScores())
+
     def test_provider_exception_wrapped(self, seven_dist):
         def bad(ctx, ids):
             raise RuntimeError("backend unavailable")

@@ -102,14 +102,18 @@ def test_traced_report_calls_each_metric_once_per_sequence(tracer, tmp_path):
 @pytest.mark.parametrize("name", SAMPLER_NAMES)
 def test_traced_run_draws_once_per_token(tracer, name):
     # simlm.drive owns the only draw: every sampler, ASTS included, is a rule.
-    from decodekit.harness import DEFAULTS, run_sequence
+    # An ASTS run goes through asts_step only when it keeps an audit, so it
+    # runs both ways: four steps in each, and four asts_step calls in all.
+    from decodekit.harness import DEFAULTS, prepare_run, run_sequence
 
     cfg = copy.deepcopy(DEFAULTS)
     cfg["max_tokens"] = 4
     cfg["sampler"] = name
+    audits = (False, True) if name == "asts" else (False,)
     traced = tracer.Tracer()
     with traced.installed():
-        run_sequence(cfg, 0)
-    assert traced.n_calls({"core.sample"}) == 4
+        for audit in audits:
+            run_sequence(cfg, 0, prepare_run(cfg, audit))
+    assert traced.n_calls({"core.sample"}) == 4 * len(audits)
     if name == "asts":
         assert traced.n_calls({"asts.asts_step"}) == 4

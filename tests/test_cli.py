@@ -378,3 +378,73 @@ def test_broken_replay_file_is_an_input_error(tmp_path, name):
     assert named in proc.stderr
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert not (tmp_path / "out.jsonl").exists()
+
+
+# Every path a command reads or writes, as (command, flag or config leaf, exit
+# code). A config or output path that cannot be opened is a config error, an
+# input file an input error; the config checks catch the input leaves first.
+PATH_CASES = [
+    ("generate", "--config", 2),
+    ("generate", "--audit", 2),
+    ("generate", "output.corpus", 2),
+    ("generate", "prompt.file", 2),
+    ("generate", "model.selector", 2),
+    ("generate", "embed.table", 2),
+    ("metrics", "--generated", 3),
+    ("metrics", "--reference", 3),
+    ("metrics", "--out", 2),
+    ("metrics", "--csv", 2),
+    ("metrics", "--config", 2),
+    ("sweep", "--config", 2),
+    ("sweep", "--out", 2),
+]
+
+BAD_PATHS = {"directory": "adir", "parent_is_file": os.path.join("afile", "x"), "empty": None}
+
+
+def _tree(root) -> dict:
+    """Every file under ``root`` with its bytes."""
+    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_PATHS))
+@pytest.mark.parametrize("command,where,code", PATH_CASES, ids=[f"{c}{w}" for c, w, _ in PATH_CASES])
+def test_bad_path_exits_before_any_output(tmp_path, capsys, command, where, code, kind):
+    bad = str(tmp_path / BAD_PATHS[kind]) if BAD_PATHS[kind] else ""
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("a file, not a directory\n", encoding="utf-8")
+    corpus = tmp_path / "out.jsonl"
+    corpus.write_text("an earlier run's corpus\n", encoding="utf-8")  # must not be truncated
+    generated = tmp_path / "generated.jsonl"
+    generated.write_text(json.dumps({"tokens": ["tok001", "tok002", "tok001"]}) + "\n", encoding="utf-8")
+    cfg = {
+        "max_tokens": 4,
+        "sampler": "asts",
+        "model": {"selector": "synthetic:mixed", "synthetic": {"vocab_size": 32}},
+        "asts": {"alignment": "zero"},
+        "output": {"corpus": str(corpus)},
+    }
+    if "." in where:  # a config leaf
+        section, leaf = where.split(".")
+        value = f"file:{bad}" if where == "model.selector" else bad
+        cfg[section] = {**cfg.get(section, {}), leaf: value}
+        if where == "embed.table":
+            cfg["asts"]["alignment"] = "embedding"
+    config = write_json(tmp_path / "run.json", cfg)
+    flags = {
+        "generate": {"--config": config},
+        "metrics": {"--generated": str(generated), "--out": str(tmp_path / "report.json")},
+        "sweep": {"--config": config, "--param": "asts.mu3", "--values": "0.0,0.5", "--metric": "rep16",
+                  "--out": str(tmp_path / "sweep.csv")},
+    }[command]
+    if where.startswith("--"):
+        flags[where] = bad
+    before = _tree(tmp_path)
+
+    assert main([command, *[arg for pair in flags.items() for arg in pair]]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " if code == 2 else "input error: ")
+    assert err.count("\n") == 1
+    if bad:
+        assert bad in err
+    assert _tree(tmp_path) == before

@@ -289,6 +289,15 @@ class TestTemperatureScale:
             with pytest.raises(ValueError, match="temperature must be >= 1e-300"):
                 temperature_scale(dist, t)
 
+    def test_zero_probability_ids_stay_zero_without_warning(self):
+        dist = make_dist([0.5, 0.0, 0.5, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = temperature_scale(dist, 0.5, support=[0, 1, 2])
+            with pytest.raises(DistributionError, match="no probability mass"):
+                temperature_scale(dist, 0.5, support=[1, 3])
+        assert out.probs.tolist() == [0.5, 0.0, 0.5, 0.0]
+
     def test_support_restriction_drops_other_mass(self, seven_dist):
         out = temperature_scale(seven_dist, 1.0, support=[0, 1])
         assert out.support().tolist() == [0, 1]

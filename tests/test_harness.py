@@ -321,6 +321,22 @@ class TestRunInputs:
         assert built.count("to_json_line") == 4 * 10
         assert "__init__" not in built  # the audit is written from columns
 
+    def test_breakdowns_built_only_for_an_audit(self, tmp_path, monkeypatch):
+        built = []
+        original = ScoreBreakdown.__dict__["__init__"]
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ScoreBreakdown, "__init__", counting)
+        config = write_config(tmp_path, asts_embedding_overrides(tmp_path))
+        plain = cmd_generate(config)
+        assert built == []
+        audited = cmd_generate(config, tmp_path / "audit.jsonl")
+        assert len(built) == 4 * 10  # one per step
+        assert [r["tokens"] for r in plain] == [r["tokens"] for r in audited]
+
     def test_embedding_table_built_once_per_run(self, tmp_path, monkeypatch):
         calls = []
 
