@@ -116,7 +116,8 @@ def main(argv=None) -> int:
         make_jobs = WORKLOADS[args.workload]
         parent = Side("parent", args.parent, make_jobs, args.seed, os.path.join(scratch, "parent"))
         change = Side("change", args.change, make_jobs, args.seed, os.path.join(scratch, "change"))
-        parent.round(), change.round()  # warm-up: caches, first-call costs
+        for side in (parent, change):
+            side.round()  # warm-up: caches and first-call costs
         ratios, times = [], {"parent": [], "change": []}
         for n in range(args.rounds):
             order = (parent, change) if n % 2 == 0 else (change, parent)
