@@ -113,6 +113,27 @@ class TestGenerateCommand:
         assert "header fields must be integers" in capsys.readouterr().err
         assert not (tmp_path / "out.jsonl").exists()
 
+    def test_embedding_table_missing_a_vocabulary_token_exit_three(self, tmp_path, capsys):
+        # The header count is right, but tok005's row belongs to a token outside the vocabulary.
+        tokens = [f"tok{i:03d}" for i in range(16)]
+        tokens[5] = "foreign"
+        table = tmp_path / "embeddings.txt"
+        table.write_text("16 3\n" + "".join(f"{t} 0.1 0.2 0.3\n" for t in tokens), encoding="utf-8")
+        cfg = write_json(
+            tmp_path / "run.json",
+            {
+                "sampler": "asts",
+                "embed": {"table": str(table), "dim": 3},
+                "model": {"selector": "synthetic:mixed", "synthetic": {"vocab_size": 16}},
+                "output": {"corpus": str(tmp_path / "out.jsonl")},
+            },
+        )
+        assert main(["generate", "--config", cfg]) == 3
+        assert capsys.readouterr().err == (
+            f"input error: embed.table: {table}: 1 vocabulary tokens lack embeddings (first missing: 'tok005')\n"
+        )
+        assert not (tmp_path / "out.jsonl").exists()
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_overflowing_base_temperature_exit_two(self, tmp_path, capsys, workers):
         assert main(["generate", "--config", tiny_temperature_config(tmp_path, workers)]) == 2

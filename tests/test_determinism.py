@@ -99,6 +99,10 @@ DIGESTS = {
     "lts_band_v4096": ("9a67adaeb046bcb4a16a2aaafffdcaf3013411c3b52fd5c507f63b514318e0d3", None),
     "lts_mass_v4096": ("12bc6b2befcf77de149440fdc61e3d3542635c3f4ecab763bc7a0d5563eafd1e", None),
     "mirostat_v4096": ("ae6d370b2dfba086eee52eb44ee99f6f8990fe3c27695f0a6f732ac05db84a50", None),
+    "generate_asts_reordered_table": (
+        "eb2ece8a3f306028cbaf9e6f0e5fc54871f4235cdb2a2651ba4b908aa525307b",
+        "226f0227fbe44bfadabf136087dd2c481a34230e6a961bc7bc09f55a8bdd6a44",
+    ),
 }
 
 
@@ -152,7 +156,24 @@ def _replay_config(tmp_path: Path, sampler: str) -> dict:
     }
 
 
+def _reordered_table_config(tmp_path: Path) -> dict:
+    """``generate_asts`` with a file table whose rows run in reverse vocabulary order, one extra token first."""
+    cfg = json.loads((CONFIGS / "generate_asts.json").read_text(encoding="utf-8"))
+    dim = cfg["embed"]["dim"]
+    tokens = ["extra"] + [f"tok{i:03d}" for i in reversed(range(cfg["model"]["synthetic"]["vocab_size"]))]
+    rows = np.random.default_rng(17).standard_normal((len(tokens), dim))
+    table = tmp_path / "reordered_table.txt"
+    with open(table, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"{len(tokens)} {dim}\n")
+        for token, row in zip(tokens, rows.tolist()):
+            fh.write(token + " " + " ".join(map(repr, row)) + "\n")
+    cfg["embed"]["table"] = str(table)
+    return cfg
+
+
 def _case_config(case: str, tmp_path: Path) -> dict:
+    if case == "generate_asts_reordered_table":
+        return _reordered_table_config(tmp_path)
     if case.startswith("replay"):
         return _replay_config(tmp_path, "greedy" if case == "replay_greedy" else "lts")
     name, _, vocab = case.rpartition("_v")
