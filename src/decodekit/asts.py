@@ -256,8 +256,10 @@ class MappedScores:
 class EmbeddingAlignment:
     """Cosine between each candidate's embedding and the pooled context.
 
-    At construction the table becomes a vocabulary-ordered ``(V, dim)``
-    matrix with its row norms, so a step pools matrix rows and takes one
+    At construction the table's matrix becomes the rows, with their norms,
+    copied into vocabulary order only when the table's order differs; a
+    table that lacks a vocabulary token, or has a zero-norm row for one, is
+    a ProviderError naming the first. A step pools rows and takes one
     ``np.vecdot`` over the candidates. With an empty history (or a
     degenerate zero-norm context vector) there is nothing to align
     against, so every candidate scores a neutral 0.
@@ -270,37 +272,34 @@ class EmbeddingAlignment:
     context_window: int = 0
     _rows: np.ndarray = field(init=False, repr=False, compare=False)
     _norms: np.ndarray = field(init=False, repr=False, compare=False)
-    _present: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        vectors = self.table.vectors
-        absent = np.zeros(self.table.dim, dtype=np.float64)
-        rows = np.stack([vectors.get(t, absent) for t in self.vocab.tokens])
+        table, tokens = self.table, self.vocab.tokens
+        rows = table.matrix
+        if table.vocab.tokens != tokens:
+            missing = table.covers(self.vocab)
+            if missing:
+                raise ProviderError(
+                    f"{len(missing)} vocabulary tokens lack embeddings (first missing: {missing[0]!r})"
+                )
+            rows = rows[[table.vocab.index[t] for t in tokens]]
+        norms = np.sqrt(np.vecdot(rows, rows))
+        zero = np.flatnonzero(norms == 0.0)
+        if zero.size:
+            raise ProviderError(f"token {tokens[zero[0]]!r} has a zero-norm embedding")
         object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_norms", np.sqrt(np.vecdot(rows, rows)))
-        object.__setattr__(self, "_present", np.array([t in vectors for t in self.vocab.tokens]))
+        object.__setattr__(self, "_norms", norms)
 
     def __call__(self, ctx: GenerationContext, candidate_ids) -> np.ndarray:
         if not ctx.history:
             return np.zeros(len(candidate_ids), dtype=np.float64)
         history = ctx.history[-self.context_window :] if self.context_window > 0 else ctx.history
-        absent = ~self._present[history]
-        if absent.any():
-            raise KeyError(f"token {self.vocab.tokens[history[int(np.argmax(absent))]]!r} has no embedding")
         ctx_vec = pool_rows(self._rows[history], self.pooling, self.decay)
         ctx_norm = float(np.linalg.norm(ctx_vec))
         if ctx_norm < 1e-12:
             return np.zeros(len(candidate_ids), dtype=np.float64)
         ids = np.asarray(candidate_ids, dtype=np.intp)
-        norms = self._norms[ids]
-        bad = ~self._present[ids] | (norms == 0.0)
-        if bad.any():
-            tid = int(ids[int(np.argmax(bad))])
-            token = self.vocab.tokens[tid]
-            if not self._present[tid]:
-                raise KeyError(f"token {token!r} has no embedding")
-            raise ProviderError(f"token {token!r} has a zero-norm embedding")
-        return np.vecdot(self._rows[ids], ctx_vec) / (norms * ctx_norm)
+        return np.vecdot(self._rows[ids], ctx_vec) / (self._norms[ids] * ctx_norm)
 
 
 @dataclass(frozen=True)

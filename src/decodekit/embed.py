@@ -24,28 +24,26 @@ class EmbeddingFormatError(ValueError):
 
 @dataclass(frozen=True)
 class EmbeddingTable:
-    dim: int
-    vectors: dict[str, np.ndarray]
+    """One read-only ``(n, dim)`` float64 matrix; row ``i`` embeds ``vocab.tokens[i]``."""
 
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError(f"embedding dimension must be >= 1, got {self.dim}")
+    vocab: Vocabulary
+    matrix: np.ndarray
 
     def __contains__(self, token: str) -> bool:
-        return token in self.vectors
+        return token in self.vocab.index
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.vocab)
 
     def vector(self, token: str) -> np.ndarray:
         try:
-            return self.vectors[token]
+            return self.matrix[self.vocab.index[token]]
         except KeyError:
             raise KeyError(f"token {token!r} has no embedding") from None
 
     def covers(self, vocab: Vocabulary) -> list[str]:
         """Tokens of ``vocab`` that are missing from this table."""
-        return [t for t in vocab.tokens if t not in self.vectors]
+        return [t for t in vocab.tokens if t not in self.vocab.index]
 
 
 def load_table(path) -> EmbeddingTable:
@@ -53,8 +51,8 @@ def load_table(path) -> EmbeddingTable:
 
     All rows are parsed into one ``(count, dim)`` matrix, checked in one
     pass for non-finite components and for a norm that is zero or
-    overflows (cosine alignment divides by it, and squares it on the way);
-    each vector is a read-only row of it.
+    overflows (cosine alignment divides by it, and squares it on the way).
+    The table holds that matrix, read-only.
     """
     tokens: list[str] = []
     linenos: list[int] = []
@@ -88,9 +86,9 @@ def load_table(path) -> EmbeddingTable:
                 count, dim = int(parts[0]), int(parts[1])
             except ValueError:
                 raise EmbeddingFormatError(f"{path}: line 1: header fields must be integers") from None
-            if count < 0 or not 1 <= dim <= MAX_DIM:
+            if count < 1 or not 1 <= dim <= MAX_DIM:
                 raise EmbeddingFormatError(
-                    f"{path}: line 1: invalid header values {count} {dim} (dim at most {MAX_DIM})"
+                    f"{path}: line 1: invalid header values {count} {dim} (count at least 1, dim 1 to {MAX_DIM})"
                 )
             for lineno, line in enumerate(fh, start=2):
                 fields = line.split()
@@ -119,14 +117,14 @@ def load_table(path) -> EmbeddingTable:
             f"{path}: header declares {count} rows but file contains {len(tokens)}"
         )
     mat.flags.writeable = False
-    return EmbeddingTable(dim=dim, vectors=dict(zip(tokens, mat)))
+    return EmbeddingTable(Vocabulary.from_tokens(tokens), mat)
 
 
 def save_table(path, table: EmbeddingTable) -> None:
     """Inverse of load_table; handy for fixtures and synthetic tables."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{len(table)} {table.dim}\n")
-        for token, vec in table.vectors.items():
+        fh.write("%d %d\n" % table.matrix.shape)
+        for token, vec in zip(table.vocab.tokens, table.matrix):
             fh.write(token + " " + " ".join(repr(float(v)) for v in vec) + "\n")
 
 
@@ -164,13 +162,7 @@ def context_embedding(
         ids = ids[-context_window:]
     if not ids:
         raise ValueError("context_embedding requires a nonempty history")
-    rows = []
-    for tid in ids:
-        token = vocab.tokens[tid]
-        if token not in table:
-            raise KeyError(f"token {token!r} has no embedding")
-        rows.append(table.vector(token))
-    return pool_rows(np.stack(rows), pooling, decay)
+    return pool_rows(np.stack([table.vector(vocab.tokens[tid]) for tid in ids]), pooling, decay)
 
 
 def pool_rows(mat: np.ndarray, pooling: str = "mean", decay: float = 0.8) -> np.ndarray:
@@ -194,8 +186,8 @@ def synthetic_table(vocab: Vocabulary, dim: int = 16, seed: int = 0) -> Embeddin
     """
     if dim < 1:
         raise ValueError(f"embedding dimension must be >= 1, got {dim}")
-    vectors: dict[str, np.ndarray] = {}
-    for token in vocab.tokens:
+    matrix = np.empty((len(vocab), dim), dtype=np.float64)
+    for token, row in zip(vocab.tokens, matrix):
         digest = hashlib.blake2b(
             f"{seed}\x1f{token}".encode("utf-8"), digest_size=8
         ).digest()
@@ -205,7 +197,6 @@ def synthetic_table(vocab: Vocabulary, dim: int = 16, seed: int = 0) -> Embeddin
         while norm == 0.0:  # astronomically unlikely, but keep the unit-norm contract
             vec = gen.standard_normal(dim)
             norm = np.linalg.norm(vec)
-        vec = vec / norm
-        vec.flags.writeable = False
-        vectors[token] = vec
-    return EmbeddingTable(dim=dim, vectors=vectors)
+        np.divide(vec, norm, out=row)
+    matrix.flags.writeable = False
+    return EmbeddingTable(vocab, matrix)

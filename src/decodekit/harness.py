@@ -28,7 +28,7 @@ from functools import partial
 import numpy as np
 
 from decodekit import golden, metrics, simlm
-from decodekit.asts import AstsConfig, ConstantScores, EmbeddingAlignment, KeywordRelevance
+from decodekit.asts import AstsConfig, ConstantScores, EmbeddingAlignment, KeywordRelevance, ProviderError
 from decodekit.baselines import MirostatState, greedy_restrict, nucleus_restrict, topk_restrict
 from decodekit.core import (
     DistributionError, TokenDistribution, Vocabulary, check_leaf, default_vocabulary, leaf, utf8_error
@@ -220,6 +220,12 @@ def _expect(cond: bool, path: str, msg: str) -> None:
 DEFAULTS = _merge(SCHEMA, {}, "")
 
 
+def _expect_file(path: str, where: str, what: str) -> None:
+    """Raise ConfigError at ``where`` unless ``path`` names a file; a directory is called one."""
+    _expect(not os.path.isdir(path), where, f"{what} is a directory: {path!r}")
+    _expect(os.path.isfile(path), where, f"{what} not found: {path!r}")
+
+
 def _check_values(cfg: dict) -> None:
     """The checks that span fields: selector, prompt, files, keywords and zipf ranks."""
     selector = cfg["model"]["selector"]
@@ -227,20 +233,20 @@ def _check_values(cfg: dict) -> None:
     if scheme == "synthetic":
         _expect(target in KINDS, "model.selector", f"unknown synthetic kind {target!r}, expected one of {KINDS}")
     elif scheme == "file":
-        _expect(os.path.isfile(target), "model.selector", f"distribution file not found: {target!r}")
+        _expect_file(target, "model.selector", "distribution file")
     else:
         raise ConfigError(f"model.selector: expected 'synthetic:<kind>' or 'file:<path>', got {selector!r}")
 
     prompt = cfg["prompt"]
     _expect(prompt["tokens"] is None or prompt["file"] is None, "prompt", "give either 'tokens' or 'file', not both")
     if prompt["file"] is not None:
-        _expect(os.path.isfile(prompt["file"]), "prompt.file", f"file not found: {prompt['file']}")
+        _expect_file(prompt["file"], "prompt.file", "prompt file")
 
     asts, table = cfg["asts"], cfg["embed"]["table"]
     if asts["relevance"] == "keywords":
         _expect(bool(asts["keywords"]), "asts.keywords", "must be nonempty when asts.relevance = 'keywords'")
     if cfg["sampler"] == "asts" and asts["alignment"] == "embedding" and table != "synthetic":
-        _expect(os.path.isfile(table), "embed.table", f"embedding table not found: {table}")
+        _expect_file(table, "embed.table", "embedding table")
     zipf = cfg["zipf"]
     if zipf["max_rank"] is not None:
         _expect(zipf["max_rank"] >= zipf["min_rank"], "zipf.max_rank", "must be null or an integer >= zipf.min_rank")
@@ -383,15 +389,12 @@ def _build_alignment(cfg: dict, vocab: Vocabulary):
             raise DataError(str(exc)) from None
         except OSError as exc:
             raise DataError(f"embed.table: {e['table']}: cannot read: {exc.strerror}") from None
-        missing = table.covers(vocab)
-        if missing:
-            raise DataError(
-                f"embed.table: {e['table']}: {len(missing)} vocabulary tokens lack embeddings "
-                f"(first missing: {missing[0]!r})"
-            )
-    return EmbeddingAlignment(
-        table=table, vocab=vocab, pooling=e["pooling"], decay=e["decay"], context_window=e["context_window"]
-    )
+    try:
+        return EmbeddingAlignment(
+            table=table, vocab=vocab, pooling=e["pooling"], decay=e["decay"], context_window=e["context_window"]
+        )
+    except ProviderError as exc:
+        raise DataError(f"embed.table: {e['table']}: {exc}") from None
 
 
 def _build_relevance(cfg: dict, vocab: Vocabulary):

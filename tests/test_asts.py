@@ -410,13 +410,12 @@ class TestPipelineBehaviour:
         with pytest.raises(ProviderError, match="relevance provider failed"):
             asts_step(seven_dist, GenerationContext(), FIXTURE_CFG, ConstantScores(), bad)
 
-    def test_missing_embedding_token_surfaces_as_provider_error(self, seven_vocab, seven_dist):
+    def test_missing_embedding_token_surfaces_as_provider_error(self, seven_vocab):
+        # Rejected when the alignment is built, before any step runs.
         small = Vocabulary.from_tokens(("analyze", "optimize"))
         table = synthetic_table(small, dim=8, seed=0)
-        provider = EmbeddingAlignment(table, seven_vocab)
-        ctx = GenerationContext(history=[seven_vocab.id_of("analyze")])
-        with pytest.raises(ProviderError):
-            asts_step(seven_dist, ctx, FIXTURE_CFG, provider, ConstantScores())
+        with pytest.raises(ProviderError, match="5 vocabulary tokens lack embeddings"):
+            EmbeddingAlignment(table, seven_vocab)
 
     @given(
         st.lists(st.floats(min_value=1e-4, max_value=1e4), min_size=2, max_size=16),
@@ -491,16 +490,43 @@ class TestArrayProvidersEqualScalarLoops:
             assert provider(ctx, ids).tolist() == expected
 
     def test_embedding_alignment_errors_name_the_token(self, seven_vocab):
-        vectors = {t: np.ones(2) for t in SEVEN_TOKENS if t not in ("data", "solve")}
-        vectors["solve"] = np.zeros(2)
-        provider = EmbeddingAlignment(EmbeddingTable(dim=2, vectors=vectors), seven_vocab)
-        ctx = GenerationContext(history=[0, 1])
-        with pytest.raises(KeyError, match="'data' has no embedding"):
-            provider(ctx, [0, 4, 6])
+        # A partial or zero-norm table is rejected when the alignment is built,
+        # naming the first such token in vocabulary order.
+        tokens = [t for t in SEVEN_TOKENS if t != "data"]
+        rows = np.ones((len(tokens), 2))
+        rows[tokens.index("solve")] = 0.0
+        partial = EmbeddingTable(Vocabulary.from_tokens(tokens), rows)
+        with pytest.raises(ProviderError, match=r"1 vocabulary tokens lack embeddings \(first missing: 'data'\)"):
+            EmbeddingAlignment(partial, seven_vocab)
+        full = EmbeddingTable(Vocabulary.from_tokens([*tokens, "data"]), np.vstack([rows, np.ones((1, 2))]))
         with pytest.raises(ProviderError, match="'solve' has a zero-norm embedding"):
-            provider(ctx, [0, 6, 4])
-        with pytest.raises(KeyError, match="'data' has no embedding"):
-            provider(GenerationContext(history=[0, 4]), [0])
+            EmbeddingAlignment(full, seven_vocab)
+        in_order = np.ones((len(SEVEN_TOKENS), 2))
+        in_order[[SEVEN_TOKENS.index("tasks"), SEVEN_TOKENS.index("solve")]] = 0.0
+        with pytest.raises(ProviderError, match="'tasks' has a zero-norm embedding"):
+            EmbeddingAlignment(EmbeddingTable(seven_vocab, in_order), seven_vocab)
+
+    @pytest.mark.parametrize("source", ["synthetic", "file"])
+    def test_table_in_vocabulary_order_is_used_without_a_copy(self, tmp_path, source):
+        vocab = default_vocabulary(64)
+        table = synthetic_table(vocab, dim=8, seed=2) if source == "synthetic" else _random_table_file(tmp_path, vocab, 8, 2)
+        assert np.shares_memory(EmbeddingAlignment(table, vocab)._rows, table.matrix)
+
+    def test_table_in_another_order_is_copied_into_vocabulary_order(self, tmp_path):
+        vocab = default_vocabulary(64)
+        ordered = synthetic_table(vocab, dim=8, seed=2)
+        tokens = ("extra", *reversed(vocab.tokens))
+        matrix = np.vstack([np.ones((1, 8)), ordered.matrix[::-1]])
+        reordered = EmbeddingTable(Vocabulary.from_tokens(tokens), matrix)
+        rows = EmbeddingAlignment(reordered, vocab)._rows
+        assert not np.shares_memory(rows, matrix)
+        assert rows.tobytes() == ordered.matrix.tobytes()
+        ctx = GenerationContext(history=[3, 9, 3, 40])
+        ids = list(range(0, 64, 3))
+        assert (
+            EmbeddingAlignment(reordered, vocab, pooling="decay")(ctx, ids).tolist()
+            == EmbeddingAlignment(ordered, vocab, pooling="decay")(ctx, ids).tolist()
+        )
 
     def test_keyword_relevance_equals_token_loop(self):
         vocab = default_vocabulary(300)

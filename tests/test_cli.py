@@ -468,4 +468,6 @@ def test_bad_path_exits_before_any_output(tmp_path, capsys, command, where, code
     assert err.count("\n") == 1
     if bad:
         assert bad in err
+    if kind == "directory":
+        assert "not found" not in err
     assert _tree(tmp_path) == before

@@ -33,7 +33,7 @@ class TestLoadTable:
     def test_happy_path(self, tmp_path):
         path = write_table(tmp_path, "2 3\nalpha 1.0 0.0 0.0\nbeta 0.5 0.5 0.0\n")
         table = load_table(path)
-        assert table.dim == 3
+        assert table.matrix.shape == (2, 3)
         assert len(table) == 2
         assert table.vector("alpha").tolist() == [1.0, 0.0, 0.0]
 
@@ -69,6 +69,10 @@ class TestLoadTable:
             load_table(write_table(tmp_path, "two 3\n"))
         # Dims too wide for numpy to shape, with and without rows after them.
         for text in ("1 99999999999999999999\nalpha 1\n", "4 9223372036854775807\nalpha 1\n", "0 4611686018427387904\n"):
+            with pytest.raises(EmbeddingFormatError, match="line 1: invalid header values"):
+                load_table(write_table(tmp_path, text))
+        # A table of no rows covers no vocabulary.
+        for text in ("0 3\n", "0 2\nalpha 1 0\n"):
             with pytest.raises(EmbeddingFormatError, match="line 1: invalid header values"):
                 load_table(write_table(tmp_path, text))
 
@@ -115,20 +119,37 @@ class TestLoadTable:
         assert not table.vector("beta").flags.writeable
 
 
+def one_vector_table():
+    return EmbeddingTable(Vocabulary.from_tokens(("a",)), np.array([[1.0, 0.0]]))
+
+
 class TestTable:
     def test_vector_missing_token_named(self):
-        table = EmbeddingTable(dim=2, vectors={"a": np.array([1.0, 0.0])})
         with pytest.raises(KeyError, match="'b'"):
-            table.vector("b")
+            one_vector_table().vector("b")
 
     def test_covers_lists_missing(self):
-        table = EmbeddingTable(dim=2, vectors={"a": np.array([1.0, 0.0])})
         vocab = Vocabulary.from_tokens(("a", "b", "c"))
-        assert table.covers(vocab) == ["b", "c"]
+        assert one_vector_table().covers(vocab) == ["b", "c"]
 
     def test_contains(self):
-        table = EmbeddingTable(dim=2, vectors={"a": np.array([1.0, 0.0])})
+        table = one_vector_table()
         assert "a" in table and "b" not in table
+
+    def test_vector_is_a_row_of_the_matrix(self):
+        table = EmbeddingTable(Vocabulary.from_tokens(("a", "b")), np.array([[1.0, 0.0], [0.0, 2.0]]))
+        assert table.vector("b").tolist() == [0.0, 2.0]
+        assert np.shares_memory(table.vector("b"), table.matrix)
+
+    def test_built_tables_are_read_only(self, tmp_path):
+        vocab = Vocabulary.from_tokens(("a", "b", "c"))
+        synthetic = synthetic_table(vocab, dim=4, seed=1)
+        save_table(tmp_path / "emb.txt", synthetic)
+        for table in (synthetic, load_table(tmp_path / "emb.txt")):
+            assert table.matrix.shape == (3, 4) and table.matrix.dtype == np.float64
+            assert not table.matrix.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                table.matrix[0, 0] = 1.0
 
 
 class TestCosine:
@@ -165,9 +186,7 @@ class TestCosine:
 
 
 def two_vector_table():
-    return EmbeddingTable(
-        dim=2, vectors={"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])}
-    )
+    return EmbeddingTable(Vocabulary.from_tokens(("a", "b")), np.array([[1.0, 0.0], [0.0, 1.0]]))
 
 
 class TestContextEmbedding:
