@@ -509,7 +509,10 @@ class TestArrayProvidersEqualScalarLoops:
     @pytest.mark.parametrize("source", ["synthetic", "file"])
     def test_table_in_vocabulary_order_is_used_without_a_copy(self, tmp_path, source):
         vocab = default_vocabulary(64)
-        table = synthetic_table(vocab, dim=8, seed=2) if source == "synthetic" else _random_table_file(tmp_path, vocab, 8, 2)
+        if source == "synthetic":
+            table = synthetic_table(vocab, dim=8, seed=2)
+        else:
+            table = _random_table_file(tmp_path, vocab, 8, seed=2)
         assert np.shares_memory(EmbeddingAlignment(table, vocab)._rows, table.matrix)
 
     def test_table_in_another_order_is_copied_into_vocabulary_order(self, tmp_path):
