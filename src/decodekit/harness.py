@@ -20,6 +20,7 @@ import contextlib
 import copy
 import json
 import os
+import shutil
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -526,14 +527,17 @@ def _sequence_job(index: int) -> dict:
     return run_sequence(cfg, index, inputs)
 
 
-def run_generation(cfg: dict, audit: bool = False, inputs: RunInputs | None = None) -> list[dict]:
-    """All sequences of a run, in id order; parallel when workers and num_sequences are both > 1.
+def iter_generation(cfg: dict, audit: bool = False, inputs: RunInputs | None = None):
+    """Yield a run's records in id order, each as soon as it is ready.
 
-    The run's inputs are built once, here, so a broken input raises before
-    any worker starts; each worker receives them once. ``audit`` keeps each
-    ASTS step's audit line (``ScoreBreakdown.to_json_line``) in the records.
-    ``inputs`` are the run's ``prepare_run(cfg, audit)``, when the caller
-    already has them.
+    Sequences run in a worker pool when workers and num_sequences are both
+    > 1. The run's inputs are built once, before the first record, so a broken
+    input raises before any worker starts; each worker receives them once.
+    ``audit`` keeps each ASTS step's audit line
+    (``ScoreBreakdown.to_json_line``) in the records. ``inputs`` are the
+    run's ``prepare_run(cfg, audit)``, when the caller already has them.
+    Serially, sequence ``i`` starts only when record ``i - 1`` is taken, and
+    the pool drops each record once it is yielded.
     """
     inputs = inputs or prepare_run(cfg, audit)
     indices = range(cfg["num_sequences"])
@@ -541,27 +545,82 @@ def run_generation(cfg: dict, audit: bool = False, inputs: RunInputs | None = No
     workers = min(cfg["workers"], len(indices))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(cfg, inputs)) as pool:
-            return list(pool.map(_sequence_job, indices))
-    return [run_sequence(cfg, i, inputs) for i in indices]
+            yield from pool.map(_sequence_job, indices)
+    else:
+        for i in indices:
+            yield run_sequence(cfg, i, inputs)
+
+
+def run_generation(cfg: dict, audit: bool = False, inputs: RunInputs | None = None) -> list[dict]:
+    """All records of ``iter_generation(cfg, audit, inputs)``, in id order."""
+    return list(iter_generation(cfg, audit, inputs))
 
 
 # --------------------------------------------------------------------------
 # Commands. Each returns data and lets the CLI decide about process exit.
 
 
-def _open_out(path):
-    parent = os.path.dirname(os.fspath(path))
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    return open(path, "w", encoding="utf-8", newline="\n")
+class _Output:
+    """A text output written to a temporary file beside it, which ``close`` renames over it.
+
+    ``path`` is resolved first, so a symlinked output stays a link and the
+    file it points at is replaced. ``discard`` removes the temporary file and
+    leaves whatever is at ``path`` untouched; leaving a ``with`` block by an
+    exception discards. Each line is on disk as soon as it is written. A
+    killed process leaves the ``*.tmp`` file behind.
+    """
+
+    def __init__(self, path):
+        self.target = os.path.realpath(path)
+        os.makedirs(os.path.dirname(self.target), exist_ok=True)
+        self.tmp = f"{self.target}.{os.urandom(4).hex()}.tmp"
+        # "x" creates the file with the mode open(path, "w") gives a new file;
+        # tempfile.mkstemp would make it 0600.
+        self._fh = open(self.tmp, "x", encoding="utf-8", newline="\n", buffering=1)
+        self.write = self._fh.write
+
+    def close(self) -> None:
+        try:
+            self._fh.close()
+            if os.path.exists(self.target):
+                shutil.copymode(self.target, self.tmp)  # as "w" keeps an existing file's mode
+            os.replace(self.tmp, self.target)
+        except BaseException:
+            self.discard()
+            raise
+
+    def discard(self) -> None:
+        self._fh.close()
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(self.tmp)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is None:
+            self.close()
+        else:
+            self.discard()
+        return False
+
+
+def _open_out(path) -> _Output:
+    """``path`` opened for writing; every command writes its outputs through here.
+
+    ``bench/tracer.py`` wraps this name to time the audit file.
+    """
+    return _Output(path)
 
 
 def _check_writable(path, what: str) -> None:
-    """Raise ConfigError naming ``what`` unless ``_open_out`` could open ``path``.
+    """Raise ConfigError naming ``what`` unless ``path`` can be written.
 
-    Called before any work. It opens ``path`` for appending, which truncates
-    nothing, and removes it again if that created it. Missing parent
-    directories are created, as ``_open_out`` would create them.
+    Called before any work, so a path that is a directory fails before the
+    first token and not when the finished output replaces it. It opens
+    ``path`` for appending, which truncates nothing, and removes it again if
+    that created it. Missing parent directories are created, as
+    ``_open_out`` would create them.
     """
     existed = os.path.lexists(path)
     try:
@@ -576,6 +635,15 @@ def _check_writable(path, what: str) -> None:
 
 
 def cmd_generate(config_path, audit_path=None) -> list[dict]:
+    """Generate a config's run into ``output.corpus`` and, given ``audit_path``, its ASTS audit.
+
+    Each record's corpus line and audit lines are written as soon as the
+    record arrives, so the process holds one sequence's audit lines at a
+    time. Both files are written beside their targets and replace them when
+    the run ends; a run that fails leaves the earlier files untouched. The
+    returned records hold every field, but ``"audit"`` is ``[]``: the lines
+    are in the audit file.
+    """
     cfg = load_config(config_path)
     out_path = cfg["output"]["corpus"]
     _expect(bool(out_path), "output.corpus", "output path required for generate")
@@ -584,21 +652,24 @@ def cmd_generate(config_path, audit_path=None) -> list[dict]:
         _check_writable(audit_path, "audit")
     # Input errors (a broken embedding table, an unknown prompt token) raise
     # from prepare_run, before any output file is opened.
-    records = run_generation(cfg, audit=audit_path is not None)
-    with _open_out(out_path) as fh:
-        for rec in records:
-            fh.write(
+    inputs = prepare_run(cfg, audit=audit_path is not None)
+    records = []
+    with contextlib.ExitStack() as outputs:
+        corpus = outputs.enter_context(_open_out(out_path))
+        audit = outputs.enter_context(_open_out(audit_path)) if audit_path is not None else None
+        for rec in iter_generation(cfg, inputs=inputs):
+            corpus.write(
                 json.dumps(
                     {"id": rec["id"], "tokens": rec["tokens"], "entropy_trace": rec["entropy_trace"]},
                     ensure_ascii=False,
                 )
                 + "\n"
             )
-    if audit_path is not None:
-        with _open_out(audit_path) as fh:
-            for rec in records:
+            if audit is not None:
                 for line in rec["audit"]:
-                    fh.write(line + "\n")
+                    audit.write(line + "\n")
+            rec["audit"] = []
+            records.append(rec)
     return records
 
 
@@ -746,12 +817,10 @@ def cmd_metrics(
         rep = metrics.report(
             generated, scorer, reference, zipf_min_rank=zipf["min_rank"], zipf_max_rank=zipf["max_rank"]
         )
-    if out_path is not None:
-        with _open_out(out_path) as fh:
-            fh.write(rep.to_json())
-    if csv_path is not None:
-        with _open_out(csv_path) as fh:
-            fh.write(rep.to_csv())
+    with contextlib.ExitStack() as outputs:
+        for path, text in ((out_path, rep.to_json), (csv_path, rep.to_csv)):
+            if path is not None:
+                outputs.enter_context(_open_out(path)).write(text())
     return rep
 
 

@@ -1,6 +1,9 @@
 """Run driver: config validation, generation runs, sweeps, metric reports."""
 
+import errno
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -366,6 +369,81 @@ class TestRunInputs:
             assert len(shared["audit"]) == 10
 
 
+def temp_files(directory) -> list:
+    """The ``*.tmp`` files an unfinished output leaves in ``directory``."""
+    return sorted(p.name for p in directory.glob("*.tmp"))
+
+
+def enospc(*args, **kwargs):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestStreamedOutputs:
+    def test_audit_is_on_disk_before_the_next_sequence_starts(self, tmp_path, monkeypatch):
+        seen = []
+
+        def watching(cfg, index, inputs=None):
+            (tmp,) = tmp_path.glob("audit.jsonl.*.tmp")
+            text = tmp.read_text(encoding="utf-8")
+            assert text == "" or text.endswith("\n")
+            seen.append((index, text.count("\n")))
+            return run_sequence(cfg, index, inputs)
+
+        monkeypatch.setattr("decodekit.harness.run_sequence", watching)
+        config = write_config(tmp_path, asts_embedding_overrides(tmp_path))
+        records = cmd_generate(config, tmp_path / "audit.jsonl")
+        assert seen == [(i, 10 * i) for i in range(4)]
+        assert all(r["audit"] == [] for r in records)
+        assert len(records) == 4 and all(len(r["tokens"]) == 10 for r in records)
+        assert (tmp_path / "audit.jsonl").read_text(encoding="utf-8").count("\n") == 4 * 10
+        assert temp_files(tmp_path) == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_failing_part_way_leaves_earlier_outputs(self, tmp_path, monkeypatch, capsys, workers):
+        config = write_config(tmp_path, asts_embedding_overrides(tmp_path, workers=workers))
+        audit = tmp_path / "audit.jsonl"
+        cmd_generate(config, audit)
+        earlier = ((tmp_path / "out.jsonl").read_bytes(), audit.read_bytes())
+
+        def failing(cfg, index, inputs=None):
+            if index == 2:
+                raise ConfigError(f"sequence 2 failed in process {os.getpid()}")
+            return run_sequence(cfg, index, inputs)
+
+        monkeypatch.setattr("decodekit.harness.run_sequence", failing)
+        assert main(["generate", "--config", str(config), "--audit", str(audit)]) == 2
+        err = capsys.readouterr().err
+        assert "sequence 2 failed" in err
+        assert (f"process {os.getpid()}" in err) == (workers == 1)  # two workers: raised in a worker
+        assert ((tmp_path / "out.jsonl").read_bytes(), audit.read_bytes()) == earlier
+        assert temp_files(tmp_path) == []
+
+    def test_symlinked_corpus_updates_its_target(self, tmp_path):
+        plain = write_config(tmp_path, base_overrides(tmp_path))
+        cmd_generate(plain)
+        expected = (tmp_path / "out.jsonl").read_bytes()
+        (tmp_path / "real").mkdir()
+        target = tmp_path / "real" / "corpus.jsonl"
+        target.write_text("an earlier run's corpus\n", encoding="utf-8")
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(target)
+        cmd_generate(write_config(tmp_path, base_overrides(tmp_path, output={"corpus": str(link)}), name="l.json"))
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == expected
+        assert temp_files(tmp_path) == [] and temp_files(tmp_path / "real") == []
+
+    def test_output_mode_is_that_of_a_plain_write(self, tmp_path):
+        with open(tmp_path / "plain", "w"):
+            pass
+        new_file_mode = stat.S_IMODE(os.stat(tmp_path / "plain").st_mode)
+        config = write_config(tmp_path, base_overrides(tmp_path))
+        cmd_generate(config)
+        assert stat.S_IMODE(os.stat(tmp_path / "out.jsonl").st_mode) == new_file_mode
+        os.chmod(tmp_path / "out.jsonl", 0o640)  # a plain write keeps an existing file's mode
+        cmd_generate(config)
+        assert stat.S_IMODE(os.stat(tmp_path / "out.jsonl").st_mode) == 0o640
+
+
 class TestReplayModel:
     def replay_file(self, tmp_path):
         doc = {
@@ -480,6 +558,16 @@ class TestSweep:
         with pytest.raises(ConfigError, match="tau"):
             self.sweep(tmp_path, values=(0.5, 1.5))
 
+    def test_failed_write_leaves_earlier_csv(self, tmp_path, monkeypatch):
+        out = tmp_path / "sweep.csv"
+        out.write_text("an earlier sweep\n", encoding="utf-8")
+        monkeypatch.setattr("decodekit.metrics.csv_cell", enospc)  # fails after the header line
+        with pytest.raises(OSError) as info:
+            self.sweep(tmp_path, values=(0.3, 0.8))
+        assert info.value.errno == errno.ENOSPC
+        assert out.read_text(encoding="utf-8") == "an earlier sweep\n"
+        assert temp_files(tmp_path) == []
+
     def test_run_inputs_built_once_per_value(self, tmp_path, monkeypatch):
         calls = []
 
@@ -509,6 +597,19 @@ class TestMetricsCmd:
         assert doc["token_count"] == 72
         assert doc["ppl"] == rep.ppl
         assert csv.read_text(encoding="utf-8").startswith("ppl,")
+
+    def test_failed_write_leaves_earlier_reports(self, tmp_path, monkeypatch):
+        corpus, _ = self.generated(tmp_path)
+        out, csv = tmp_path / "report.json", tmp_path / "report.csv"
+        out.write_text("an earlier report\n", encoding="utf-8")
+        csv.write_text("an earlier csv\n", encoding="utf-8")
+        monkeypatch.setattr("decodekit.metrics.MetricsReport.to_csv", enospc)
+        with pytest.raises(OSError) as info:
+            cmd_metrics(corpus, out_path=out, csv_path=csv)
+        assert info.value.errno == errno.ENOSPC
+        assert out.read_text(encoding="utf-8") == "an earlier report\n"
+        assert csv.read_text(encoding="utf-8") == "an earlier csv\n"
+        assert temp_files(tmp_path) == []
 
     def test_self_reference_zero_deltas(self, tmp_path):
         corpus, _ = self.generated(tmp_path)
