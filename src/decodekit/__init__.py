@@ -11,6 +11,7 @@ samplers   rule adapters (restrict + observe) the decode loop drives
 metrics    perplexity, repetition, Zipf and n-gram diversity metrics
 simlm      synthetic language model and the decode loop, which makes every draw
 harness    JSON-config run driver shared by the CLI subcommands
+outputs    output files written beside their path and renamed over it when done
 cli        argparse entry point (``decodekit generate|sweep|metrics|golden``)
 """
 

@@ -20,7 +20,6 @@ import contextlib
 import copy
 import json
 import os
-import shutil
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -37,6 +36,7 @@ from decodekit.core import (
 from decodekit.embed import EmbeddingFormatError, load_table, synthetic_table
 from decodekit.lts import LtsConfig, lts_restrict
 from decodekit.metrics import SequenceCorpus, UniformScorer
+from decodekit.outputs import OutputFile
 from decodekit.samplers import SAMPLER_NAMES, AstsSampler, MirostatSampler, TruncationSampler
 from decodekit.simlm import KINDS, LmProfile, next_distribution, token_probabilities
 
@@ -560,57 +560,9 @@ def run_generation(cfg: dict, audit: bool = False, inputs: RunInputs | None = No
 # Commands. Each returns data and lets the CLI decide about process exit.
 
 
-class _Output:
-    """A text output written to a temporary file beside it, which ``close`` renames over it.
-
-    ``path`` is resolved first, so a symlinked output stays a link and the
-    file it points at is replaced. ``discard`` removes the temporary file and
-    leaves whatever is at ``path`` untouched; leaving a ``with`` block by an
-    exception discards. Each line is on disk as soon as it is written. A
-    killed process leaves the ``*.tmp`` file behind.
-    """
-
-    def __init__(self, path):
-        self.target = os.path.realpath(path)
-        os.makedirs(os.path.dirname(self.target), exist_ok=True)
-        self.tmp = f"{self.target}.{os.urandom(4).hex()}.tmp"
-        # "x" creates the file with the mode open(path, "w") gives a new file;
-        # tempfile.mkstemp would make it 0600.
-        self._fh = open(self.tmp, "x", encoding="utf-8", newline="\n", buffering=1)
-        self.write = self._fh.write
-
-    def close(self) -> None:
-        try:
-            self._fh.close()
-            if os.path.exists(self.target):
-                shutil.copymode(self.target, self.tmp)  # as "w" keeps an existing file's mode
-            os.replace(self.tmp, self.target)
-        except BaseException:
-            self.discard()
-            raise
-
-    def discard(self) -> None:
-        self._fh.close()
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(self.tmp)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if exc_type is None:
-            self.close()
-        else:
-            self.discard()
-        return False
-
-
-def _open_out(path) -> _Output:
-    """``path`` opened for writing; every command writes its outputs through here.
-
-    ``bench/tracer.py`` wraps this name to time the audit file.
-    """
-    return _Output(path)
+def _open_out(path) -> OutputFile:
+    """Open ``path`` for writing; every output goes through here, and ``bench/tracer.py`` wraps it."""
+    return OutputFile(path)
 
 
 def _check_writable(path, what: str) -> None:
@@ -654,9 +606,9 @@ def cmd_generate(config_path, audit_path=None) -> list[dict]:
     # from prepare_run, before any output file is opened.
     inputs = prepare_run(cfg, audit=audit_path is not None)
     records = []
-    with contextlib.ExitStack() as outputs:
-        corpus = outputs.enter_context(_open_out(out_path))
-        audit = outputs.enter_context(_open_out(audit_path)) if audit_path is not None else None
+    with contextlib.ExitStack() as files:
+        corpus = files.enter_context(_open_out(out_path))
+        audit = files.enter_context(_open_out(audit_path)) if audit_path is not None else None
         for rec in iter_generation(cfg, inputs=inputs):
             corpus.write(
                 json.dumps(
@@ -817,10 +769,10 @@ def cmd_metrics(
         rep = metrics.report(
             generated, scorer, reference, zipf_min_rank=zipf["min_rank"], zipf_max_rank=zipf["max_rank"]
         )
-    with contextlib.ExitStack() as outputs:
+    with contextlib.ExitStack() as files:
         for path, text in ((out_path, rep.to_json), (csv_path, rep.to_csv)):
             if path is not None:
-                outputs.enter_context(_open_out(path)).write(text())
+                files.enter_context(_open_out(path)).write(text())
     return rep
 
 
