@@ -590,8 +590,8 @@ def cmd_generate(config_path, audit_path=None) -> list[dict]:
     """Generate a config's run into ``output.corpus`` and, given ``audit_path``, its ASTS audit.
 
     Each record's corpus line and audit lines are written as soon as the
-    record arrives, so the process holds one sequence's audit lines at a
-    time. Both files are written beside their targets and replace them when
+    record arrives, so a serial run holds one sequence's audit lines at a
+    time (a pool also holds the records that finish ahead of the writer). Both files are written beside their targets and replace them when
     the run ends; a run that fails leaves the earlier files untouched. The
     returned records hold every field, but ``"audit"`` is ``[]``: the lines
     are in the audit file.
