@@ -27,7 +27,7 @@ from functools import partial
 
 import numpy as np
 
-from decodekit import golden, metrics, simlm
+from decodekit import golden, metrics, outputs, simlm
 from decodekit.asts import AstsConfig, ConstantScores, EmbeddingAlignment, KeywordRelevance, ProviderError
 from decodekit.baselines import MirostatState, greedy_restrict, nucleus_restrict, topk_restrict
 from decodekit.core import (
@@ -36,7 +36,6 @@ from decodekit.core import (
 from decodekit.embed import EmbeddingFormatError, load_table, synthetic_table
 from decodekit.lts import LtsConfig, lts_restrict
 from decodekit.metrics import SequenceCorpus, UniformScorer
-from decodekit.outputs import OutputFile
 from decodekit.samplers import SAMPLER_NAMES, AstsSampler, MirostatSampler, TruncationSampler
 from decodekit.simlm import KINDS, LmProfile, next_distribution, token_probabilities
 
@@ -560,30 +559,22 @@ def run_generation(cfg: dict, audit: bool = False, inputs: RunInputs | None = No
 # Commands. Each returns data and lets the CLI decide about process exit.
 
 
-def _open_out(path) -> OutputFile:
-    """Open ``path`` for writing; every output goes through here, and ``bench/tracer.py`` wraps it."""
-    return OutputFile(path)
+def _open_out(path) -> outputs.OutputFile:
+    """Open ``path`` for writing inside ``outputs.replacing()``; every output goes through here, and ``bench/tracer.py`` wraps it."""
+    return outputs.OutputFile(path)
 
 
 def _check_writable(path, what: str) -> None:
-    """Raise ConfigError naming ``what`` unless ``path`` can be written.
+    """Raise ConfigError naming ``what`` unless ``path`` can be written (``outputs.check_writable``).
 
-    Called before any work, so a path that is a directory fails before the
-    first token and not when the finished output replaces it. It opens
-    ``path`` for appending, which truncates nothing, and removes it again if
-    that created it. Missing parent directories are created, as
-    ``_open_out`` would create them.
+    Called before any work, so a path that is a directory, or one beside
+    which no temporary file can be made, fails before the first token and
+    not when the finished output replaces it.
     """
-    existed = os.path.lexists(path)
     try:
-        parent = os.path.dirname(os.fspath(path))
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        open(path, "a").close()
+        outputs.check_writable(path)
     except OSError as exc:
         raise ConfigError(f"{what}: cannot write {os.fspath(path)!r}: {exc}") from None
-    if not existed:
-        os.remove(path)
 
 
 def cmd_generate(config_path, audit_path=None) -> list[dict]:
@@ -591,8 +582,9 @@ def cmd_generate(config_path, audit_path=None) -> list[dict]:
 
     Each record's corpus line and audit lines are written as soon as the
     record arrives, so a serial run holds one sequence's audit lines at a
-    time (a pool also holds the records that finish ahead of the writer). Both files are written beside their targets and replace them when
-    the run ends; a run that fails leaves the earlier files untouched. The
+    time (a pool also holds the records that finish ahead of the writer).
+    Both files are written beside their targets and replace them when the
+    run ends; a run that fails leaves the earlier files untouched. The
     returned records hold every field, but ``"audit"`` is ``[]``: the lines
     are in the audit file.
     """
@@ -606,7 +598,7 @@ def cmd_generate(config_path, audit_path=None) -> list[dict]:
     # from prepare_run, before any output file is opened.
     inputs = prepare_run(cfg, audit=audit_path is not None)
     records = []
-    with contextlib.ExitStack() as files:
+    with outputs.replacing(), contextlib.ExitStack() as files:
         corpus = files.enter_context(_open_out(out_path))
         audit = files.enter_context(_open_out(audit_path)) if audit_path is not None else None
         for rec in iter_generation(cfg, inputs=inputs):
@@ -683,7 +675,7 @@ def cmd_sweep(config_path, param: str, values, metric: str, reps: int, out_path)
         arr = np.asarray(samples, dtype=np.float64)
         rows.append(SweepRow(value=value, mean=float(arr.mean()), std=float(arr.std())))
 
-    with _open_out(out_path) as fh:
+    with outputs.replacing(), _open_out(out_path) as fh:
         fh.write("param_value,metric_mean,metric_std\n")
         for row in rows:
             fh.write(",".join(map(metrics.csv_cell, (row.value, row.mean, row.std))) + "\n")
@@ -769,7 +761,7 @@ def cmd_metrics(
         rep = metrics.report(
             generated, scorer, reference, zipf_min_rank=zipf["min_rank"], zipf_max_rank=zipf["max_rank"]
         )
-    with contextlib.ExitStack() as files:
+    with outputs.replacing(), contextlib.ExitStack() as files:
         for path, text in ((out_path, rep.to_json), (csv_path, rep.to_csv)):
             if path is not None:
                 files.enter_context(_open_out(path)).write(text())

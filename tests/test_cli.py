@@ -421,6 +421,18 @@ PATH_CASES = [
 ]
 
 BAD_PATHS = {"directory": "adir", "parent_is_file": os.path.join("afile", "x"), "empty": None}
+# Existing writable files beside which no temporary file can be made: only an
+# output is bad this way. Root writes into a read-only directory regardless.
+NO_TEMP_FILE = {"name_too_long_for_temp": "n" * 250, "read_only_directory": os.path.join("rodir", "x")}
+OUTPUT_FLAGS = {"--audit", "output.corpus", "--out", "--csv"}
+BAD_PATH_CASES = [
+    pytest.param(
+        command, where, code, kind, id=f"{command}{where}-{kind}",
+        marks=pytest.mark.skipif(kind == "read_only_directory" and os.geteuid() == 0, reason="root ignores modes"),
+    )
+    for command, where, code in PATH_CASES
+    for kind in sorted(BAD_PATHS) + (sorted(NO_TEMP_FILE) if where in OUTPUT_FLAGS else [])
+]
 
 
 def _tree(root) -> dict:
@@ -428,12 +440,16 @@ def _tree(root) -> dict:
     return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-@pytest.mark.parametrize("kind", sorted(BAD_PATHS))
-@pytest.mark.parametrize("command,where,code", PATH_CASES, ids=[f"{c}{w}" for c, w, _ in PATH_CASES])
+@pytest.mark.parametrize("command,where,code,kind", BAD_PATH_CASES)
 def test_bad_path_exits_before_any_output(tmp_path, capsys, command, where, code, kind):
-    bad = str(tmp_path / BAD_PATHS[kind]) if BAD_PATHS[kind] else ""
+    name = {**BAD_PATHS, **NO_TEMP_FILE}[kind]
+    bad = str(tmp_path / name) if name else ""
     (tmp_path / "adir").mkdir()
     (tmp_path / "afile").write_text("a file, not a directory\n", encoding="utf-8")
+    if kind in NO_TEMP_FILE:
+        os.makedirs(os.path.dirname(bad), exist_ok=True)
+        with open(bad, "w", encoding="utf-8") as fh:
+            fh.write("an earlier output\n")
     corpus = tmp_path / "out.jsonl"
     corpus.write_text("an earlier run's corpus\n", encoding="utf-8")  # must not be truncated
     generated = tmp_path / "generated.jsonl"
@@ -462,7 +478,13 @@ def test_bad_path_exits_before_any_output(tmp_path, capsys, command, where, code
         flags[where] = bad
     before = _tree(tmp_path)
 
-    assert main([command, *[arg for pair in flags.items() for arg in pair]]) == code
+    if kind == "read_only_directory":
+        os.chmod(os.path.dirname(bad), 0o555)
+    try:
+        assert main([command, *[arg for pair in flags.items() for arg in pair]]) == code
+    finally:
+        if kind == "read_only_directory":
+            os.chmod(os.path.dirname(bad), 0o755)
     err = capsys.readouterr().err
     assert err.startswith("config error: " if code == 2 else "input error: ")
     assert err.count("\n") == 1

@@ -1,9 +1,14 @@
 """Run driver: config validation, generation runs, sweeps, metric reports."""
 
 import errno
+import importlib
 import json
 import os
 import stat
+import sys
+import threading
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +33,9 @@ from decodekit.harness import (
     run_sequence,
     set_by_path,
 )
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def write_config(tmp_path, overrides, name="run.json"):
@@ -431,6 +439,53 @@ class TestStreamedOutputs:
         assert link.is_symlink() and os.readlink(link) == str(target)
         assert target.read_bytes() == expected
         assert temp_files(tmp_path) == [] and temp_files(tmp_path / "real") == []
+
+    def test_fifo_output_is_written_in_place(self, tmp_path):
+        config = write_config(tmp_path, asts_embedding_overrides(tmp_path))
+        cmd_generate(config, tmp_path / "audit.jsonl")
+        expected = (tmp_path / "audit.jsonl").read_bytes()
+        fifo = tmp_path / "audit.fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert main(["generate", "--config", str(config), "--audit", str(fifo)]) == 0
+        reader.join(timeout=30)
+        assert received == [expected]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert temp_files(tmp_path) == []
+
+    def test_traced_run_failing_part_way_leaves_earlier_outputs(self, tmp_path, monkeypatch):
+        """The bench's tracer closes the audit file it wraps whatever the run did; that must not publish it."""
+        monkeypatch.syspath_prepend(str(BENCH))
+        tracer = importlib.import_module("tracer")
+        monkeypatch.delitem(sys.modules, "tracer")
+        config = write_config(tmp_path, asts_embedding_overrides(tmp_path))
+        audit = str(tmp_path / "audit.jsonl")
+        cmd_generate(config, audit)
+        earlier = ((tmp_path / "out.jsonl").read_bytes(), (tmp_path / "audit.jsonl").read_bytes())
+
+        def failing(cfg, index, inputs=None):
+            if index == 2:
+                raise ConfigError("sequence 2 failed")
+            return run_sequence(cfg, index, inputs)
+
+        monkeypatch.setattr("decodekit.harness.run_sequence", failing)
+        traced = tracer.Tracer()
+        with traced.installed(), pytest.raises(ConfigError):
+            traced.phase("generate", SimpleNamespace(audit_path=audit, audit=True, tokens=4 * 10))
+            cmd_generate(config, audit)
+        assert ((tmp_path / "out.jsonl").read_bytes(), (tmp_path / "audit.jsonl").read_bytes()) == earlier
+        assert traced.audit_bytes > 0  # the wrapper saw the audit lines it then closed
+        assert temp_files(tmp_path) == []
+
+    def test_each_output_is_synced_before_its_rename(self, tmp_path, monkeypatch):
+        calls = []
+        fsync, replace = os.fsync, os.replace
+        monkeypatch.setattr(os, "fsync", lambda fd: (calls.append("fsync"), fsync(fd))[1])
+        monkeypatch.setattr(os, "replace", lambda src, dst: (calls.append("replace"), replace(src, dst))[1])
+        cmd_generate(write_config(tmp_path, asts_embedding_overrides(tmp_path)), tmp_path / "audit.jsonl")
+        assert calls == ["fsync", "replace"] * 2
 
     def test_output_mode_is_that_of_a_plain_write(self, tmp_path):
         with open(tmp_path / "plain", "w"):
