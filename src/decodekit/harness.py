@@ -560,7 +560,7 @@ def run_generation(cfg: dict, audit: bool = False, inputs: RunInputs | None = No
 
 
 def _open_out(path) -> outputs.OutputFile:
-    """Open ``path`` for writing inside ``outputs.replacing()``; every output goes through here, and ``bench/tracer.py`` wraps it."""
+    """Open ``path`` inside ``outputs.replacing()``; every output goes through here, and ``bench/tracer.py`` wraps it."""
     return outputs.OutputFile(path)
 
 
