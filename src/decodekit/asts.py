@@ -68,8 +68,6 @@ class GenerationContext:
     entropy_window: deque = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.window_w < 1:
-            raise ValueError(f"window_w must be >= 1, got {self.window_w}")
         self.entropy_window = deque(maxlen=self.window_w)
         if self.history and not self.freq:
             self.freq = Counter(self.history)
@@ -212,8 +210,6 @@ def sigma_entropy(entropy_window, sigma_prior: float) -> float:
 
 def dynamic_thresholds(h_t: float, sigma_h: float, k1: float, k2: float) -> tuple[float, float]:
     """Entropy band (h - k1*sigma, h + k2*sigma); k1, k2 must be >= 0."""
-    if k1 < 0 or k2 < 0:
-        raise ValueError(f"threshold scale factors must be >= 0, got k1={k1}, k2={k2}")
     return h_t - k1 * sigma_h, h_t + k2 * sigma_h
 
 
@@ -311,8 +307,6 @@ class KeywordRelevance:
     _scores: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.keywords:
-            raise ValueError("keyword relevance requires at least one keyword")
         n = len(self.keywords)
         scores = [sum(k in token for k in self.keywords) / n for token in self.vocab.tokens]
         object.__setattr__(self, "_scores", np.array(scores, dtype=np.float64))

@@ -25,8 +25,6 @@ def greedy_restrict(dist: TokenDistribution) -> TokenDistribution:
 
 def topk_restrict(dist: TokenDistribution, k: int) -> TokenDistribution:
     """Renormalise over the k most probable tokens (clamped to the support), ties to the lowest id."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     return restrict(dist, top_ids(dist, k))
 
 
@@ -37,8 +35,6 @@ def nucleus_restrict(dist: TokenDistribution, p: float) -> TokenDistribution:
     prefix length comes from the sorted values alone; zeros sort last and
     add nothing to the sums.
     """
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"nucleus p must lie in (0, 1], got {p}")
     descending = np.sort(dist.probs)[::-1]
     return restrict(dist, top_ids(dist, mass_count(descending, p)))
 
@@ -54,8 +50,6 @@ class MirostatState:
     def __post_init__(self) -> None:
         if not math.isfinite(self.mu):
             raise ValueError(f"mirostat mu must be finite, got {self.mu!r}")
-        if not self.eta >= 0.0:
-            raise ValueError(f"mirostat eta must be >= 0, got {self.eta!r}")
 
     @classmethod
     def initial(cls, target_tau: float = 3.0, eta: float = 0.1, mu0: float | None = None):

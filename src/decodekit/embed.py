@@ -167,12 +167,8 @@ def context_embedding(
 
 def pool_rows(mat: np.ndarray, pooling: str = "mean", decay: float = 0.8) -> np.ndarray:
     """Pool the ``(n, dim)`` history rows ``mat``, oldest first; see ``context_embedding``."""
-    if pooling not in ("mean", "decay"):
-        raise ValueError(f"unknown pooling {pooling!r}, expected 'mean' or 'decay'")
     if pooling == "mean":
         return mat.mean(axis=0)
-    if not 0.0 < decay <= 1.0:
-        raise ValueError(f"decay must lie in (0, 1], got {decay}")
     ages = np.arange(len(mat) - 1, -1, -1, dtype=np.float64)
     w = decay**ages
     return (mat * w[:, None]).sum(axis=0) / w.sum()

@@ -34,8 +34,6 @@ class LtsConfig:
 def _deviations(dist: TokenDistribution) -> tuple[np.ndarray, np.ndarray, float]:
     """Positive-support ids, their surprisals, and the distribution entropy."""
     ids = dist.support()
-    if ids.size == 0:
-        raise ValueError("distribution has empty support")
     surp = -np.log(dist.probs[ids])
     return ids, surp, entropy(dist)
 
@@ -47,8 +45,6 @@ def band_ids(dist: TokenDistribution, alpha: float, beta: float) -> np.ndarray:
     deviation (ties broken by lowest token id) so downstream samplers
     always have at least one candidate.
     """
-    if alpha > beta:
-        raise ValueError(f"band bounds out of order: alpha={alpha} > beta={beta}")
     ids, surp, h = _deviations(dist)
     kept = ids[(surp >= alpha) & (surp <= beta)]
     if kept.size:
@@ -72,8 +68,6 @@ def typical_set_mass(dist: TokenDistribution, tau: float) -> TokenDistribution:
     their order decides both the cumulative sums and which of them make the
     cut.
     """
-    if not 0.0 < tau <= 1.0:
-        raise ValueError(f"tau must lie in (0, 1], got {tau}")
     ids, surp, h = _deviations(dist)
     dev = np.abs(surp - h)
     order = dev.argsort()

@@ -47,8 +47,6 @@ class UniformScorer:
     """Assigns 1/n to every position; the degenerate reference scorer."""
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError(f"uniform scorer needs n >= 1, got {n}")
         self.n = n
 
     def __call__(self, seq):
@@ -85,8 +83,6 @@ def rep_l(seq, l: int) -> float:
     Position 0 has no predecessors and is excluded from the denominator;
     position t looks back at the preceding min(l, t) tokens.
     """
-    if l < 1:
-        raise ValueError(f"window l must be >= 1, got {l}")
     seq = list(seq)
     if len(seq) < 2:
         raise ValueError(f"sequence too short for rep_l: length {len(seq)} < 2")
@@ -103,10 +99,6 @@ def zipf_coefficient(corpus: SequenceCorpus, min_rank: int = 1, max_rank: int | 
     Rank 1 is the most frequent token. No truncation by default; the
     optional rank bounds clip the fitted range at both ends.
     """
-    if min_rank < 1:
-        raise ValueError(f"min_rank must be >= 1, got {min_rank}")
-    if max_rank is not None and max_rank < min_rank:
-        raise ValueError(f"max_rank {max_rank} < min_rank {min_rank}")
     counts = Counter()
     for seq in corpus.sequences:
         counts.update(seq)

@@ -128,8 +128,6 @@ def drive(next_fn, sampler, seed: int, max_tokens: int, prompt=(), window_w: int
     context but is not part of the returned sequence. Returns (token ids,
     per-step entropy trace).
     """
-    if max_tokens < 1:
-        raise ValueError(f"max_tokens must be >= 1, got {max_tokens}")
     rng = Rng(seed)
     ctx = GenerationContext(window_w=window_w)
     for tid in prompt:

@@ -108,8 +108,6 @@ def band_mask(dist: TokenDistribution, alpha: float, beta: float) -> np.ndarray:
     deviation (ties broken by lowest token id) so downstream samplers
     always have at least one candidate.
     """
-    if alpha > beta:
-        raise ValueError(f"band bounds out of order: alpha={alpha} > beta={beta}")
     ids, surp, h = _deviations(dist)
     inside = (surp >= alpha) & (surp <= beta)
     keep = np.zeros(len(dist), dtype=bool)

@@ -215,11 +215,6 @@ class TestContextEmbedding:
         with pytest.raises(KeyError, match="zzz"):
             context_embedding([1], two_vector_table(), vocab)
 
-    def test_unknown_pooling_rejected(self):
-        vocab = Vocabulary.from_tokens(("a", "b"))
-        with pytest.raises(ValueError, match="pooling"):
-            context_embedding([0], two_vector_table(), vocab, pooling="max")
-
     def test_context_window_keeps_trailing_tokens(self):
         vocab = Vocabulary.from_tokens(("a", "b"))
         out = context_embedding([0, 0, 0, 1], two_vector_table(), vocab, context_window=1)
@@ -236,11 +231,6 @@ class TestContextEmbedding:
         mean = context_embedding([0, 1, 1], two_vector_table(), vocab)
         dec = context_embedding([0, 1, 1], two_vector_table(), vocab, pooling="decay", decay=1.0)
         assert dec == pytest.approx(mean, abs=1e-12)
-
-    def test_decay_out_of_range(self):
-        vocab = Vocabulary.from_tokens(("a", "b"))
-        with pytest.raises(ValueError, match="decay"):
-            context_embedding([0], two_vector_table(), vocab, pooling="decay", decay=0.0)
 
     @given(st.permutations([0, 0, 1, 1, 0]))
     def test_mean_pooling_permutation_invariant(self, order):

@@ -103,10 +103,6 @@ class TestGenerate:
         assert len(tokens) == 1
         assert len(trace) == 1
 
-    def test_max_tokens_validated(self):
-        with pytest.raises(ValueError):
-            generate(LmProfile(), GREEDY, VOCAB, seed=0, max_tokens=0)
-
     def test_greedy_is_run_invariant(self):
         profile = LmProfile(kind="peaked", seed=3)
         runs = [generate(profile, GREEDY, VOCAB, seed=9, max_tokens=25) for _ in range(3)]
