@@ -564,17 +564,22 @@ def _open_out(path) -> outputs.OutputFile:
     return outputs.OutputFile(path)
 
 
-def _check_writable(path, what: str) -> None:
-    """Raise ConfigError naming ``what`` unless ``path`` can be written (``outputs.check_writable``).
+def _check_writable(*named) -> None:
+    """Raise ConfigError naming ``what`` unless every ``(what, path)`` output can be written.
 
-    Called before any work, so a path that is a directory, or one beside
-    which no temporary file can be made, fails before the first token and
-    not when the finished output replaces it.
+    A None path is skipped; ``outputs.check_writable`` probes the others.
+    Called before any work, so a path that is a directory, one beside which
+    no temporary file can be made, or a second output on the same file fails
+    before the first token and not when the finished output replaces it.
     """
-    try:
-        outputs.check_writable(path)
-    except OSError as exc:
-        raise ConfigError(f"{what}: cannot write {os.fspath(path)!r}: {exc}") from None
+    targets: set[str] = set()
+    for what, path in named:
+        if path is None:
+            continue
+        try:
+            outputs.check_writable(path, targets)
+        except OSError as exc:
+            raise ConfigError(f"{what}: cannot write {os.fspath(path)!r}: {exc}") from None
 
 
 def cmd_generate(config_path, audit_path=None) -> list[dict]:
@@ -591,9 +596,7 @@ def cmd_generate(config_path, audit_path=None) -> list[dict]:
     cfg = load_config(config_path)
     out_path = cfg["output"]["corpus"]
     _expect(bool(out_path), "output.corpus", "output path required for generate")
-    _check_writable(out_path, "output.corpus")
-    if audit_path is not None:
-        _check_writable(audit_path, "audit")
+    _check_writable(("output.corpus", out_path), ("audit", audit_path))
     # Input errors (a broken embedding table, an unknown prompt token) raise
     # from prepare_run, before any output file is opened.
     inputs = prepare_run(cfg, audit=audit_path is not None)
@@ -652,7 +655,7 @@ def cmd_sweep(config_path, param: str, values, metric: str, reps: int, out_path)
         raise ConfigError(f"metric: unknown metric {metric!r}, expected one of {tuple(metrics.METRICS)}")
     if reps < 1:
         raise ConfigError(f"reps: must be >= 1, got {reps}")
-    _check_writable(out_path, "out")
+    _check_writable(("out", out_path))
 
     rows: list[SweepRow] = []
     for value in values:
@@ -734,9 +737,7 @@ def cmd_metrics(
     if fmt not in ("jsonl", "text"):
         raise ConfigError(f"format: must be 'jsonl' or 'text', got {fmt!r}")
     cfg = load_config(config_path) if config_path is not None else None
-    for path, what in ((out_path, "out"), (csv_path, "csv")):
-        if path is not None:
-            _check_writable(path, what)
+    _check_writable(("out", out_path), ("csv", csv_path))
     gen_tokens = _load_corpus_tokens(generated_path, fmt)
     ref_tokens = _load_corpus_tokens(reference_path, fmt) if reference_path is not None else None
 

@@ -52,27 +52,32 @@ def _temp_path(target: str) -> str:
     return f"{target}.{os.urandom(4).hex()}.tmp"
 
 
-def check_writable(path) -> None:
+def check_writable(path, targets: set) -> None:
     """Raise the OSError that writing ``path`` as an ``OutputFile`` would raise; write nothing.
 
-    The target must open for appending, as ``open(path, "w")`` requires, and
-    a temporary file must be creatable beside the resolved target. Missing
-    parent directories are created, as ``OutputFile`` would create them. A
-    target written in place is only checked for permission: opening a FIFO
+    The resolved target (a symlink's file, even a missing one) must open for
+    appending, as ``open(path, "w")`` requires, and a temporary file must be
+    creatable beside it. Missing parent directories are created, as
+    ``OutputFile`` would create them. ``targets`` holds the resolved targets
+    of the command's outputs checked so far: a second output that would
+    replace one of them is an error, since one rename would lose the other.
+    A target written in place is only checked for permission: opening a FIFO
     would wait for its reader.
     """
     if _in_place(path) and not os.path.isdir(path):
         if not os.access(path, os.W_OK):
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(path))
         return
-    existed = os.path.lexists(path)
-    parent = os.path.dirname(os.fspath(path))
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    open(path, "a").close()
+    target = os.path.realpath(path)
+    if target in targets:
+        raise OSError(f"another output of this command also writes {target!r}")
+    targets.add(target)
+    existed = os.path.lexists(target)
+    os.makedirs(os.path.dirname(target), exist_ok=True)
+    open(target, "a").close()
     if not existed:
-        os.remove(path)
-    tmp = _temp_path(os.path.realpath(path))
+        os.remove(target)
+    tmp = _temp_path(target)
     open(tmp, "x").close()
     os.remove(tmp)
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -425,13 +426,18 @@ BAD_PATHS = {"directory": "adir", "parent_is_file": os.path.join("afile", "x"), 
 # output is bad this way. Root writes into a read-only directory regardless.
 NO_TEMP_FILE = {"name_too_long_for_temp": "n" * 250, "read_only_directory": os.path.join("rodir", "x")}
 OUTPUT_FLAGS = {"--audit", "output.corpus", "--out", "--csv"}
+# The output a second output flag would also replace, spelled another way
+# ("<dir>/./<name>"): the rename of one would lose the other.
+SAME_FILE_AS = {"--audit": os.path.join(".", "out.jsonl"), "--csv": os.path.join(".", "report.json")}
 BAD_PATH_CASES = [
     pytest.param(
         command, where, code, kind, id=f"{command}{where}-{kind}",
         marks=pytest.mark.skipif(kind == "read_only_directory" and os.geteuid() == 0, reason="root ignores modes"),
     )
     for command, where, code in PATH_CASES
-    for kind in sorted(BAD_PATHS) + (sorted(NO_TEMP_FILE) if where in OUTPUT_FLAGS else [])
+    for kind in sorted(BAD_PATHS)
+    + (sorted(NO_TEMP_FILE) if where in OUTPUT_FLAGS else [])
+    + (["same_file_as_other_output"] if where in SAME_FILE_AS else [])
 ]
 
 
@@ -442,8 +448,8 @@ def _tree(root) -> dict:
 
 @pytest.mark.parametrize("command,where,code,kind", BAD_PATH_CASES)
 def test_bad_path_exits_before_any_output(tmp_path, capsys, command, where, code, kind):
-    name = {**BAD_PATHS, **NO_TEMP_FILE}[kind]
-    bad = str(tmp_path / name) if name else ""
+    name = SAME_FILE_AS[where] if kind == "same_file_as_other_output" else {**BAD_PATHS, **NO_TEMP_FILE}[kind]
+    bad = os.path.join(tmp_path, name) if name else ""
     (tmp_path / "adir").mkdir()
     (tmp_path / "afile").write_text("a file, not a directory\n", encoding="utf-8")
     if kind in NO_TEMP_FILE:
@@ -492,4 +498,25 @@ def test_bad_path_exits_before_any_output(tmp_path, capsys, command, where, code
         assert bad in err
     if kind == "directory":
         assert "not found" not in err
+    if kind == "same_file_as_other_output":
+        assert err.startswith(f"config error: {where.lstrip('-')}: ")
     assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("command", ["generate", "metrics"])
+def test_outputs_written_in_place_may_share_a_path(tmp_path, command):
+    generated = tmp_path / "generated.jsonl"
+    generated.write_text(json.dumps({"tokens": ["tok001", "tok002", "tok001", "tok003"]}) + "\n", encoding="utf-8")
+    cfg = {
+        "max_tokens": 4,
+        "sampler": "asts",
+        "model": {"selector": "synthetic:mixed", "synthetic": {"vocab_size": 32}},
+        "asts": {"alignment": "zero"},
+        "output": {"corpus": os.devnull},
+    }
+    args = {
+        "generate": ["--config", write_json(tmp_path / "run.json", cfg), "--audit", os.devnull],
+        "metrics": ["--generated", str(generated), "--out", os.devnull, "--csv", os.devnull],
+    }[command]
+    assert main([command, *args]) == 0
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)

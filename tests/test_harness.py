@@ -440,6 +440,16 @@ class TestStreamedOutputs:
         assert target.read_bytes() == expected
         assert temp_files(tmp_path) == [] and temp_files(tmp_path / "real") == []
 
+    def test_failed_run_creates_no_file_behind_a_dangling_symlink(self, tmp_path, capsys):
+        (tmp_path / "t").mkdir()
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(tmp_path / "t" / "target.jsonl")
+        overrides = base_overrides(tmp_path, prompt={"tokens": ["nope"]}, output={"corpus": str(link)})
+        assert main(["generate", "--config", str(write_config(tmp_path, overrides))]) == 3
+        assert "nope" in capsys.readouterr().err
+        assert list((tmp_path / "t").iterdir()) == []
+        assert link.is_symlink() and not link.exists()
+
     def test_fifo_output_is_written_in_place(self, tmp_path):
         config = write_config(tmp_path, asts_embedding_overrides(tmp_path))
         cmd_generate(config, tmp_path / "audit.jsonl")
