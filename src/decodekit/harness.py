@@ -564,30 +564,29 @@ def _open_out(path) -> outputs.OutputFile:
     return outputs.OutputFile(path)
 
 
-def _check_writable(*named) -> None:
-    """Raise ConfigError naming ``what`` unless every ``(what, path)`` output can be written.
+def _open_named(files: contextlib.ExitStack, what: str, path):
+    """``_open_out(path)`` entered in ``files``, or None for a None path.
 
-    A None path is skipped; ``outputs.check_writable`` probes the others.
-    Called before any work, so a path that is a directory, one beside which
-    no temporary file can be made, or a second output on the same file fails
-    before the first token and not when the finished output replaces it.
+    An OSError opening it is a ConfigError naming ``what``. Each command
+    opens its outputs before any other work, so a path that is a directory,
+    one beside which no temporary file can be made, or a second output on the
+    same file fails before the first token.
     """
-    targets: set[str] = set()
-    for what, path in named:
-        if path is None:
-            continue
-        try:
-            outputs.check_writable(path, targets)
-        except OSError as exc:
-            raise ConfigError(f"{what}: cannot write {os.fspath(path)!r}: {exc}") from None
+    if path is None:
+        return None
+    try:
+        return files.enter_context(_open_out(path))
+    except OSError as exc:
+        raise ConfigError(f"{what}: cannot write {os.fspath(path)!r}: {exc}") from None
 
 
 def cmd_generate(config_path, audit_path=None) -> list[dict]:
     """Generate a config's run into ``output.corpus`` and, given ``audit_path``, its ASTS audit.
 
-    Each record's corpus line and audit lines are written as soon as the
-    record arrives, so a serial run holds one sequence's audit lines at a
-    time (a pool also holds the records that finish ahead of the writer).
+    Both outputs are opened before the run's inputs are built. Each record's
+    corpus line and audit lines are written as soon as the record arrives,
+    so a serial run holds one sequence's audit lines at a time (a pool also
+    holds the records that finish ahead of the writer).
     Both files are written beside their targets and replace them when the
     run ends; a run that fails leaves the earlier files untouched. The
     returned records hold every field, but ``"audit"`` is ``[]``: the lines
@@ -596,15 +595,13 @@ def cmd_generate(config_path, audit_path=None) -> list[dict]:
     cfg = load_config(config_path)
     out_path = cfg["output"]["corpus"]
     _expect(bool(out_path), "output.corpus", "output path required for generate")
-    _check_writable(("output.corpus", out_path), ("audit", audit_path))
-    # Input errors (a broken embedding table, an unknown prompt token) raise
-    # from prepare_run, before any output file is opened.
-    inputs = prepare_run(cfg, audit=audit_path is not None)
     records = []
     with outputs.replacing(), contextlib.ExitStack() as files:
-        corpus = files.enter_context(_open_out(out_path))
-        audit = files.enter_context(_open_out(audit_path)) if audit_path is not None else None
-        for rec in iter_generation(cfg, inputs=inputs):
+        corpus = _open_named(files, "output.corpus", out_path)
+        audit = _open_named(files, "audit", audit_path)
+        # Input errors (a broken embedding table, an unknown prompt token) raise
+        # before the first record, and the outputs opened above are discarded.
+        for rec in iter_generation(cfg, audit=audit is not None):
             corpus.write(
                 json.dumps(
                     {"id": rec["id"], "tokens": rec["tokens"], "entropy_trace": rec["entropy_trace"]},
@@ -655,32 +652,31 @@ def cmd_sweep(config_path, param: str, values, metric: str, reps: int, out_path)
         raise ConfigError(f"metric: unknown metric {metric!r}, expected one of {tuple(metrics.METRICS)}")
     if reps < 1:
         raise ConfigError(f"reps: must be >= 1, got {reps}")
-    _check_writable(("out", out_path))
 
     rows: list[SweepRow] = []
-    for value in values:
-        cfg = copy.deepcopy(base)
-        for path in paths:
-            set_by_path(cfg, path, value)
-        cfg = _checked(cfg)
-        # The inputs depend on no seed, so every rep shares them.
-        inputs = prepare_run(cfg)
-        model = inputs.model
-        zipf = cfg["zipf"]
-        samples = []
-        for r in range(reps):
-            run_cfg = dict(cfg, seed=cfg["seed"] + r * cfg["num_sequences"])
-            records = run_generation(run_cfg, inputs=inputs)
-            corpus = SequenceCorpus(tuple(tuple(rec["token_ids"]) for rec in records), model.vocab)
-            scored = metrics.CorpusMetrics(corpus, model.score, zipf["min_rank"], zipf["max_rank"])
-            with _metric_domain():
-                samples.append(scored[metric])
-        arr = np.asarray(samples, dtype=np.float64)
-        rows.append(SweepRow(value=value, mean=float(arr.mean()), std=float(arr.std())))
-
-    with outputs.replacing(), _open_out(out_path) as fh:
+    with outputs.replacing(), contextlib.ExitStack() as files:
+        fh = _open_named(files, "out", out_path)
         fh.write("param_value,metric_mean,metric_std\n")
-        for row in rows:
+        for value in values:
+            cfg = copy.deepcopy(base)
+            for path in paths:
+                set_by_path(cfg, path, value)
+            cfg = _checked(cfg)
+            # The inputs depend on no seed, so every rep shares them.
+            inputs = prepare_run(cfg)
+            model = inputs.model
+            zipf = cfg["zipf"]
+            samples = []
+            for r in range(reps):
+                run_cfg = dict(cfg, seed=cfg["seed"] + r * cfg["num_sequences"])
+                records = run_generation(run_cfg, inputs=inputs)
+                corpus = SequenceCorpus(tuple(tuple(rec["token_ids"]) for rec in records), model.vocab)
+                scored = metrics.CorpusMetrics(corpus, model.score, zipf["min_rank"], zipf["max_rank"])
+                with _metric_domain():
+                    samples.append(scored[metric])
+            arr = np.asarray(samples, dtype=np.float64)
+            row = SweepRow(value=value, mean=float(arr.mean()), std=float(arr.std()))
+            rows.append(row)
             fh.write(",".join(map(metrics.csv_cell, (row.value, row.mean, row.std))) + "\n")
     return rows
 
@@ -737,35 +733,36 @@ def cmd_metrics(
     if fmt not in ("jsonl", "text"):
         raise ConfigError(f"format: must be 'jsonl' or 'text', got {fmt!r}")
     cfg = load_config(config_path) if config_path is not None else None
-    _check_writable(("out", out_path), ("csv", csv_path))
-    gen_tokens = _load_corpus_tokens(generated_path, fmt)
-    ref_tokens = _load_corpus_tokens(reference_path, fmt) if reference_path is not None else None
-
-    zipf = DEFAULTS["zipf"]
-    if cfg is not None:
-        model = build_model(cfg)
-        vocab = model.vocab
-        scorer = model.score
-        zipf = cfg["zipf"]
-    else:
-        seen = sorted({t for seq in gen_tokens for t in seq} | {t for seq in (ref_tokens or []) for t in seq})
-        vocab = Vocabulary.from_tokens(seen)
-        scorer = UniformScorer(len(vocab))
-
-    def to_corpus(seqs, where):
-        ids = tuple(_tokens_to_ids(s, vocab, where) for s in seqs)
-        return SequenceCorpus(ids, vocab)
-
-    generated = to_corpus(gen_tokens, str(generated_path))
-    reference = to_corpus(ref_tokens, str(reference_path)) if ref_tokens is not None else None
-    with _metric_domain():
-        rep = metrics.report(
-            generated, scorer, reference, zipf_min_rank=zipf["min_rank"], zipf_max_rank=zipf["max_rank"]
-        )
     with outputs.replacing(), contextlib.ExitStack() as files:
-        for path, text in ((out_path, rep.to_json), (csv_path, rep.to_csv)):
-            if path is not None:
-                files.enter_context(_open_out(path)).write(text())
+        out = _open_named(files, "out", out_path)
+        csv = _open_named(files, "csv", csv_path)
+        gen_tokens = _load_corpus_tokens(generated_path, fmt)
+        ref_tokens = _load_corpus_tokens(reference_path, fmt) if reference_path is not None else None
+
+        zipf = DEFAULTS["zipf"]
+        if cfg is not None:
+            model = build_model(cfg)
+            vocab = model.vocab
+            scorer = model.score
+            zipf = cfg["zipf"]
+        else:
+            seen = sorted({t for seq in gen_tokens for t in seq} | {t for seq in (ref_tokens or []) for t in seq})
+            vocab = Vocabulary.from_tokens(seen)
+            scorer = UniformScorer(len(vocab))
+
+        def to_corpus(seqs, where):
+            ids = tuple(_tokens_to_ids(s, vocab, where) for s in seqs)
+            return SequenceCorpus(ids, vocab)
+
+        generated = to_corpus(gen_tokens, str(generated_path))
+        reference = to_corpus(ref_tokens, str(reference_path)) if ref_tokens is not None else None
+        with _metric_domain():
+            rep = metrics.report(
+                generated, scorer, reference, zipf_min_rank=zipf["min_rank"], zipf_max_rank=zipf["max_rank"]
+            )
+        for fh, text in ((out, rep.to_json), (csv, rep.to_csv)):
+            if fh is not None:
+                fh.write(text())
     return rep
 
 

@@ -1,11 +1,12 @@
 """Output files that appear whole or not at all.
 
-A command opens its outputs as ``OutputFile``s inside one ``replacing()``
-block. Each is written to a temporary file beside its target; when the block
-ends, each temporary file is synced to disk and renamed over its target, or
-removed if the block raised. The block decides, not the file: closing an
-``OutputFile`` only flushes it, so no wrapper that closes a file can publish
-a partial output. A target that exists and is not a regular file
+A command opens its outputs as ``OutputFile``s at the start of one
+``replacing()`` block, before any other work, so a path that cannot be
+written fails first. Each is written to a temporary file beside its target;
+when the block ends, each temporary file is synced to disk and renamed over
+its target, or removed if the block raised. The block decides, not the
+file: closing an ``OutputFile`` only flushes it, so no wrapper that closes a
+file can publish a partial output. A target that exists and is not a regular file
 (``/dev/null``, a FIFO, a terminal) has nothing to replace and is written
 in place.
 """
@@ -13,7 +14,6 @@ in place.
 from __future__ import annotations
 
 import contextlib
-import errno
 import os
 import shutil
 import stat
@@ -48,47 +48,17 @@ def _in_place(path) -> bool:
         return False
 
 
-def _temp_path(target: str) -> str:
-    return f"{target}.{os.urandom(4).hex()}.tmp"
-
-
-def check_writable(path, targets: set) -> None:
-    """Raise the OSError that writing ``path`` as an ``OutputFile`` would raise; write nothing.
-
-    The resolved target (a symlink's file, even a missing one) must open for
-    appending, as ``open(path, "w")`` requires, and a temporary file must be
-    creatable beside it. Missing parent directories are created, as
-    ``OutputFile`` would create them. ``targets`` holds the resolved targets
-    of the command's outputs checked so far: a second output that would
-    replace one of them is an error, since one rename would lose the other.
-    A target written in place is only checked for permission: opening a FIFO
-    would wait for its reader.
-    """
-    if _in_place(path) and not os.path.isdir(path):
-        if not os.access(path, os.W_OK):
-            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(path))
-        return
-    target = os.path.realpath(path)
-    if target in targets:
-        raise OSError(f"another output of this command also writes {target!r}")
-    targets.add(target)
-    existed = os.path.lexists(target)
-    os.makedirs(os.path.dirname(target), exist_ok=True)
-    open(target, "a").close()
-    if not existed:
-        os.remove(target)
-    tmp = _temp_path(target)
-    open(tmp, "x").close()
-    os.remove(tmp)
-
-
 class OutputFile:
     """A text output, written to a temporary file beside ``path`` until ``replacing()`` commits it.
 
     ``path`` is resolved first, so a symlinked output stays a link and the
-    file it points at is replaced. Each line is flushed to the operating
-    system as it is written; ``commit`` syncs the file before renaming it. A
-    killed process leaves the ``*.tmp`` file behind.
+    file it points at is replaced. Opening raises the OSError that
+    ``open(path, "w")`` would: an existing target must open for appending,
+    and missing parent directories are created. A second output of the block
+    that resolves to the same file is an OSError too, since one rename would
+    lose the other. Each line is flushed to the operating system as it is
+    written; ``commit`` syncs the file before renaming it. A killed process
+    leaves the ``*.tmp`` file behind.
     """
 
     def __init__(self, path):
@@ -99,8 +69,12 @@ class OutputFile:
             self._fh = open(path, "w", encoding="utf-8", newline="\n", buffering=1)
         else:
             self.target = os.path.realpath(path)
+            if any(f.tmp is not None and f.target == self.target for f in _opened):
+                raise OSError(f"another output of this command also writes {self.target!r}")
+            if os.path.lexists(self.target):
+                open(self.target, "a").close()  # a directory, or a file that may not be written
             os.makedirs(os.path.dirname(self.target), exist_ok=True)
-            self.tmp = _temp_path(self.target)
+            self.tmp = f"{self.target}.{os.urandom(4).hex()}.tmp"
             # "x" creates the file with the mode open(path, "w") gives a new file;
             # tempfile.mkstemp would make it 0600.
             self._fh = open(self.tmp, "x", encoding="utf-8", newline="\n", buffering=1)
