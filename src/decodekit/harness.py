@@ -747,6 +747,9 @@ def cmd_metrics(
             zipf = cfg["zipf"]
         else:
             seen = sorted({t for seq in gen_tokens for t in seq} | {t for seq in (ref_tokens or []) for t in seq})
+            if not seen:  # no token to build the uniform scorer's vocabulary from
+                named = ", ".join(str(p) for p in (generated_path, reference_path) if p is not None)
+                raise DataError(f"{named}: every sequence is empty")
             vocab = Vocabulary.from_tokens(seen)
             scorer = UniformScorer(len(vocab))
 

@@ -4,11 +4,11 @@ A command opens its outputs as ``OutputFile``s at the start of one
 ``replacing()`` block, before any other work, so a path that cannot be
 written fails first. Each is written to a temporary file beside its target;
 when the block ends, each temporary file is synced to disk and renamed over
-its target, or removed if the block raised. The block decides, not the
-file: closing an ``OutputFile`` only flushes it, so no wrapper that closes a
-file can publish a partial output. A target that exists and is not a regular file
-(``/dev/null``, a FIFO, a terminal) has nothing to replace and is written
-in place.
+its target, or removed if the block raised, along with the directories its
+opening created. The block decides, not the file: closing an ``OutputFile``
+only flushes it, so no wrapper that closes a file can publish a partial
+output. A target that exists and is not a regular file (``/dev/null``, a
+FIFO, a terminal) has nothing to replace and is written in place.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ def replacing():
         for f in files:
             f.commit()
     except BaseException:
-        for f in files:
+        for f in reversed(files):  # a later file may lie in a directory an earlier one created
             f.discard()
         raise
     finally:
@@ -48,22 +48,32 @@ def _in_place(path) -> bool:
         return False
 
 
+def _make_dirs(path: str, made: list) -> None:
+    """Create directory ``path`` and its missing ancestors; each one created goes to the front of ``made``."""
+    if not os.path.isdir(path):
+        _make_dirs(os.path.dirname(path), made)
+        os.mkdir(path)
+        made.insert(0, path)
+
+
 class OutputFile:
     """A text output, written to a temporary file beside ``path`` until ``replacing()`` commits it.
 
     ``path`` is resolved first, so a symlinked output stays a link and the
     file it points at is replaced. Opening raises the OSError that
     ``open(path, "w")`` would: an existing target must open for appending,
-    and missing parent directories are created. A second output of the block
-    that resolves to the same file is an OSError too, since one rename would
-    lose the other. Each line is flushed to the operating system as it is
-    written; ``commit`` syncs the file before renaming it. A killed process
-    leaves the ``*.tmp`` file behind.
+    and missing parent directories are created (``discard`` removes those
+    still empty). A second output of the block that resolves to the same file
+    is an OSError too, since one rename would lose the other. Each line is
+    flushed to the operating system as it is written; ``commit`` syncs the
+    file before renaming it. A killed process leaves the ``*.tmp`` file
+    behind.
     """
 
     def __init__(self, path):
         if _opened is None:
             raise RuntimeError("an OutputFile is opened inside outputs.replacing()")
+        self.made: list[str] = []  # the directories created for the target, innermost first
         if _in_place(path):
             self.target, self.tmp = os.fspath(path), None
             self._fh = open(path, "w", encoding="utf-8", newline="\n", buffering=1)
@@ -73,13 +83,22 @@ class OutputFile:
                 raise OSError(f"another output of this command also writes {self.target!r}")
             if os.path.lexists(self.target):
                 open(self.target, "a").close()  # a directory, or a file that may not be written
-            os.makedirs(os.path.dirname(self.target), exist_ok=True)
             self.tmp = f"{self.target}.{os.urandom(4).hex()}.tmp"
-            # "x" creates the file with the mode open(path, "w") gives a new file;
-            # tempfile.mkstemp would make it 0600.
-            self._fh = open(self.tmp, "x", encoding="utf-8", newline="\n", buffering=1)
+            try:
+                _make_dirs(os.path.dirname(self.target), self.made)
+                # "x" creates the file with the mode open(path, "w") gives a new file;
+                # tempfile.mkstemp would make it 0600.
+                self._fh = open(self.tmp, "x", encoding="utf-8", newline="\n", buffering=1)
+            except OSError:
+                self._remove_made()
+                raise
         self.write = self._fh.write
         _opened.append(self)
+
+    def _remove_made(self) -> None:
+        for parent in self.made:
+            with contextlib.suppress(OSError):  # not empty: something else was put there
+                os.rmdir(parent)
 
     def close(self) -> None:
         """Flush what was written; whether it replaces the target is ``replacing()``'s decision."""
@@ -101,6 +120,7 @@ class OutputFile:
         if self.tmp is not None:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(self.tmp)
+        self._remove_made()
 
     def __enter__(self):
         return self

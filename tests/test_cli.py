@@ -79,6 +79,27 @@ class TestGenerateCommand:
         assert main(["generate", "--config", cfg]) == 3
         assert "input error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fails_at", ["input", "temp_file"])
+    def test_failed_run_removes_the_directories_its_outputs_created(self, tmp_path, capsys, fails_at):
+        cfg = write_json(
+            tmp_path / "run.json",
+            {
+                "sampler": "greedy",
+                "prompt": {"tokens": ["nope" if fails_at == "input" else "tok001"]},
+                "model": {"selector": "synthetic:mixed", "synthetic": {"vocab_size": 16}},
+                "output": {"corpus": str(tmp_path / "newdir" / "sub" / "out.jsonl")},
+            },
+        )
+        # The audit's temporary file lies in a directory the corpus created, or
+        # has a name too long for the file system in directories of its own.
+        audit = tmp_path / "newdir" / "audit.jsonl"
+        if fails_at == "temp_file":
+            audit = tmp_path / "adir" / "sub" / ("n" * 250)
+        code, message = (3, "input error: prompt.tokens: ") if fails_at == "input" else (2, "config error: audit: ")
+        assert main(["generate", "--config", cfg, "--audit", str(audit)]) == code
+        assert capsys.readouterr().err.startswith(message)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
     def test_non_string_prompt_token_exit_three(self, tmp_path, capsys):
         prompts = tmp_path / "p.jsonl"
         prompts.write_text('{"tokens": [["tok001"]]}\n', encoding="utf-8")
@@ -198,6 +219,19 @@ class TestMetricsCommand:
         code = main(["metrics", "--generated", str(corpus), "--out", str(tmp_path / "r.json")])
         assert code == 3
         assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("with_reference", [False, True])
+    def test_every_sequence_empty_exit_three(self, tmp_path, capsys, with_reference):
+        corpus = tmp_path / "empty.jsonl"
+        corpus.write_text('{"tokens": []}\n', encoding="utf-8")
+        args = ["metrics", "--generated", str(corpus), "--out", str(tmp_path / "r.json")]
+        named = str(corpus)
+        if with_reference:
+            args += ["--reference", str(corpus)]
+            named += f", {corpus}"
+        assert main(args) == 3
+        assert capsys.readouterr().err == f"input error: {named}: every sequence is empty\n"
+        assert not (tmp_path / "r.json").exists()
 
     def test_text_format_flag(self, tmp_path):
         corpus = tmp_path / "corpus.txt"
@@ -442,8 +476,8 @@ BAD_PATH_CASES = [
 
 
 def _tree(root) -> dict:
-    """Every file under ``root`` with its bytes."""
-    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+    """Every file under ``root`` with its bytes, and every directory (as None)."""
+    return {p: p.read_bytes() if p.is_file() else None for p in sorted(root.rglob("*"))}
 
 
 @pytest.mark.parametrize("command,where,code,kind", BAD_PATH_CASES)
