@@ -11,9 +11,10 @@ and print no warning or traceback.
 
 ``metrics`` reads a generated and a reference corpus, in ``jsonl`` or
 ``text`` format, scored uniformly or by a configured model. Each case
-breaks one corpus the same way (a broken generated corpus is scored alone) (and, in ``text``, with odd whitespace, a
-JSON line, a sequence too short or a single repeated token). The run may
-also exit 1, a metric undefined on the corpus, but under the same rules.
+breaks one corpus the same way (and, in ``text``, with odd whitespace, a
+JSON line, a sequence too short or a single repeated token); a broken
+generated corpus is scored alone. The run may also exit 1, a metric
+undefined on the corpus, but under the same rules.
 """
 
 import json
