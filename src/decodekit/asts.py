@@ -30,7 +30,7 @@ import json
 import math
 import sys
 from collections import Counter, deque
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 from functools import cached_property
 from json.encoder import encode_basestring
 
@@ -261,7 +261,7 @@ class EmbeddingAlignment:
     against, so every candidate scores a neutral 0.
     """
 
-    table: EmbeddingTable
+    table: InitVar[EmbeddingTable]  # only its rows are kept
     vocab: Vocabulary
     pooling: str = "mean"
     decay: float = 0.8
@@ -269,8 +269,8 @@ class EmbeddingAlignment:
     _rows: np.ndarray = field(init=False, repr=False, compare=False)
     _norms: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        table, tokens = self.table, self.vocab.tokens
+    def __post_init__(self, table: EmbeddingTable) -> None:
+        tokens = self.vocab.tokens
         rows = table.matrix
         if table.vocab.tokens != tokens:
             missing = table.covers(self.vocab)

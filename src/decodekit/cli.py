@@ -2,12 +2,13 @@
 
 Exit codes: 0 success, 1 metric-domain error (valid files, metric
 undefined on them), 2 configuration or usage error, 3 input-data error,
-4 reference-check failure.
+4 reference-check failure, 143 stopped by SIGTERM (its outputs discarded).
 """
 
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 
 from decodekit import harness, metrics
@@ -65,8 +66,13 @@ def _parse_values(raw: str) -> list:
     return values
 
 
+def _terminate(signum, frame):
+    raise SystemExit(128 + signum)  # unwinds, so the outputs' temporary files are removed
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         if args.command == "generate":
             harness.cmd_generate(args.config, audit_path=args.audit)
@@ -102,6 +108,8 @@ def main(argv=None) -> int:
     except MetricError as exc:
         print(f"metric error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     return 0
 
 

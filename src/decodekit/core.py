@@ -123,12 +123,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def id_of(self, token: str) -> int:
-        try:
-            return self.index[token]
-        except KeyError:
-            raise KeyError(f"token {token!r} not in vocabulary") from None
-
 
 @functools.lru_cache(maxsize=4)
 def default_vocabulary(size: int = 256) -> Vocabulary:
@@ -194,17 +188,6 @@ class TokenDistribution:
     def support(self) -> np.ndarray:
         """Ids of tokens carrying positive probability."""
         return (self.probs > 0.0).nonzero()[0]
-
-
-def softmax(vocab: Vocabulary, logits) -> TokenDistribution:
-    """Convert raw logits to a TokenDistribution (max-shifted for stability)."""
-    z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 1 or z.shape[0] != len(vocab):
-        raise DistributionError(f"logit vector has shape {z.shape}, expected ({len(vocab)},)")
-    if not np.all(np.isfinite(z)):
-        raise DistributionError("logits must be finite")
-    w = np.exp(z - z.max())
-    return TokenDistribution(vocab, w / w.sum())
 
 
 def entropy(dist: TokenDistribution) -> float:

@@ -29,12 +29,6 @@ class EmbeddingTable:
     vocab: Vocabulary
     matrix: np.ndarray
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.vocab.index
-
-    def __len__(self) -> int:
-        return len(self.vocab)
-
     def vector(self, token: str) -> np.ndarray:
         try:
             return self.matrix[self.vocab.index[token]]

@@ -114,15 +114,6 @@ _ASTS_FIELDS = tuple(f.name for f in fields(AstsConfig))
 _OVERFLOW_ERRORS = {"asts": DistributionError, "mirostat": ValueError}
 
 
-def get_by_path(cfg: dict, path: str):
-    node = cfg
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            raise ConfigError(f"{path}: no such config key")
-        node = node[part]
-    return node
-
-
 def set_by_path(cfg: dict, path: str, value) -> None:
     parts = path.split(".")
     node = cfg
@@ -369,15 +360,15 @@ def _load_replay_model(path: str) -> ReplayModel:
 
 
 def build_model(cfg: dict):
-    selector = get_by_path(cfg, "model.selector")
+    selector = cfg["model"]["selector"]
     if selector.startswith("synthetic:"):
-        vocab = default_vocabulary(get_by_path(cfg, "model.synthetic.vocab_size"))
+        vocab = default_vocabulary(cfg["model"]["synthetic"]["vocab_size"])
         return SyntheticModel(_build_profile(cfg), vocab)
     return _load_replay_model(selector.split(":", 1)[1])
 
 
 def _build_alignment(cfg: dict, vocab: Vocabulary):
-    if get_by_path(cfg, "asts.alignment") == "zero":
+    if cfg["asts"]["alignment"] == "zero":
         return ConstantScores(0.0)
     e = cfg["embed"]
     if e["table"] == "synthetic":
@@ -398,8 +389,8 @@ def _build_alignment(cfg: dict, vocab: Vocabulary):
 
 
 def _build_relevance(cfg: dict, vocab: Vocabulary):
-    if get_by_path(cfg, "asts.relevance") == "keywords":
-        return KeywordRelevance(vocab, tuple(get_by_path(cfg, "asts.keywords")))
+    if cfg["asts"]["relevance"] == "keywords":
+        return KeywordRelevance(vocab, tuple(cfg["asts"]["keywords"]))
     return ConstantScores(0.0)
 
 
@@ -420,9 +411,9 @@ def build_sampler(cfg: dict, vocab: Vocabulary, providers=None):
     if name == "greedy":
         return TruncationSampler(greedy_restrict)
     if name == "topk":
-        return TruncationSampler(partial(topk_restrict, k=get_by_path(cfg, "topk.k")))
+        return TruncationSampler(partial(topk_restrict, k=cfg["topk"]["k"]))
     if name == "nucleus":
-        return TruncationSampler(partial(nucleus_restrict, p=get_by_path(cfg, "nucleus.p")))
+        return TruncationSampler(partial(nucleus_restrict, p=cfg["nucleus"]["p"]))
     if name == "mirostat":
         m = cfg["mirostat"]
         return MirostatSampler(MirostatState.initial(target_tau=m["tau"], eta=m["eta"], mu0=m["mu0"]))
@@ -526,19 +517,19 @@ def _sequence_job(index: int) -> dict:
     return run_sequence(cfg, index, inputs)
 
 
-def iter_generation(cfg: dict, audit: bool = False, inputs: RunInputs | None = None):
+def iter_generation(cfg: dict, inputs: RunInputs | None = None):
     """Yield a run's records in id order, each as soon as it is ready.
 
     Sequences run in a worker pool when workers and num_sequences are both
     > 1. The run's inputs are built once, before the first record, so a broken
     input raises before any worker starts; each worker receives them once.
-    ``audit`` keeps each ASTS step's audit line
-    (``ScoreBreakdown.to_json_line``) in the records. ``inputs`` are the
-    run's ``prepare_run(cfg, audit)``, when the caller already has them.
-    Serially, sequence ``i`` starts only when record ``i - 1`` is taken, and
-    the pool drops each record once it is yielded.
+    ``inputs`` are the run's ``prepare_run(cfg, audit)``; with ``audit`` the
+    records keep each ASTS step's audit line (``ScoreBreakdown.to_json_line``).
+    Without them they are built here, with no audit. Serially, sequence ``i``
+    starts only when record ``i - 1`` is taken, and the pool drops each record
+    once it is yielded.
     """
-    inputs = inputs or prepare_run(cfg, audit)
+    inputs = inputs or prepare_run(cfg)
     indices = range(cfg["num_sequences"])
     # The pool starts all its workers at once, so it gets no more than there are sequences.
     workers = min(cfg["workers"], len(indices))
@@ -550,13 +541,13 @@ def iter_generation(cfg: dict, audit: bool = False, inputs: RunInputs | None = N
             yield run_sequence(cfg, i, inputs)
 
 
-def run_generation(cfg: dict, audit: bool = False, inputs: RunInputs | None = None) -> list[dict]:
-    """All records of ``iter_generation(cfg, audit, inputs)``, in id order."""
-    return list(iter_generation(cfg, audit, inputs))
+def run_generation(cfg: dict, inputs: RunInputs | None = None) -> list[dict]:
+    """All records of ``iter_generation(cfg, inputs)``, in id order."""
+    return list(iter_generation(cfg, inputs))
 
 
 # --------------------------------------------------------------------------
-# Commands. Each returns data and lets the CLI decide about process exit.
+# Commands. Each raises its errors and lets the CLI decide about process exit.
 
 
 def _open_out(path) -> outputs.OutputFile:
@@ -580,28 +571,25 @@ def _open_named(files: contextlib.ExitStack, what: str, path):
         raise ConfigError(f"{what}: cannot write {os.fspath(path)!r}: {exc}") from None
 
 
-def cmd_generate(config_path, audit_path=None) -> list[dict]:
+def cmd_generate(config_path, audit_path=None) -> None:
     """Generate a config's run into ``output.corpus`` and, given ``audit_path``, its ASTS audit.
 
     Both outputs are opened before the run's inputs are built. Each record's
-    corpus line and audit lines are written as soon as the record arrives,
-    so a serial run holds one sequence's audit lines at a time (a pool also
-    holds the records that finish ahead of the writer).
+    corpus line and audit lines are written as soon as the record arrives and
+    the record is then dropped, so a serial run holds one sequence at a time
+    (a pool also holds the records that finish ahead of the writer).
     Both files are written beside their targets and replace them when the
-    run ends; a run that fails leaves the earlier files untouched. The
-    returned records hold every field, but ``"audit"`` is ``[]``: the lines
-    are in the audit file.
+    run ends; a run that fails leaves the earlier files untouched.
     """
     cfg = load_config(config_path)
     out_path = cfg["output"]["corpus"]
     _expect(bool(out_path), "output.corpus", "output path required for generate")
-    records = []
     with outputs.replacing(), contextlib.ExitStack() as files:
         corpus = _open_named(files, "output.corpus", out_path)
         audit = _open_named(files, "audit", audit_path)
         # Input errors (a broken embedding table, an unknown prompt token) raise
         # before the first record, and the outputs opened above are discarded.
-        for rec in iter_generation(cfg, audit=audit is not None):
+        for rec in iter_generation(cfg, prepare_run(cfg, audit is not None)):
             corpus.write(
                 json.dumps(
                     {"id": rec["id"], "tokens": rec["tokens"], "entropy_trace": rec["entropy_trace"]},
@@ -612,9 +600,7 @@ def cmd_generate(config_path, audit_path=None) -> list[dict]:
             if audit is not None:
                 for line in rec["audit"]:
                     audit.write(line + "\n")
-            rec["audit"] = []
-            records.append(rec)
-    return records
+            del rec  # else it outlives its write while the next sequence runs
 
 
 @contextlib.contextmanager

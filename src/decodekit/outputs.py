@@ -66,8 +66,9 @@ class OutputFile:
     still empty). A second output of the block that resolves to the same file
     is an OSError too, since one rename would lose the other. Each line is
     flushed to the operating system as it is written; ``commit`` syncs the
-    file before renaming it. A killed process leaves the ``*.tmp`` file
-    behind.
+    file before renaming it. A process killed by a signal it does not turn
+    into an exception (the CLI turns SIGTERM into one) leaves the ``*.tmp``
+    file behind.
     """
 
     def __init__(self, path):

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -227,7 +228,7 @@ class TestProviders:
 
     def test_keyword_relevance_fraction(self, seven_vocab):
         provider = KeywordRelevance(seven_vocab, ("func", "task"))
-        vals = provider(GenerationContext(), [seven_vocab.id_of("function"), seven_vocab.id_of("data")])
+        vals = provider(GenerationContext(), [seven_vocab.index["function"], seven_vocab.index["data"]])
         assert vals.tolist() == [0.5, 0.0]
 
     def test_embedding_alignment_empty_history_is_neutral(self, seven_vocab):
@@ -241,11 +242,24 @@ class TestProviders:
         provider = EmbeddingAlignment(table, seven_vocab)
         ctx = GenerationContext()
         for tok in ("data", "errors"):
-            ctx.append(seven_vocab.id_of(tok))
+            ctx.append(seven_vocab.index[tok])
         vals = provider(ctx, [0, 1])
         ctx_vec = context_embedding(ctx.history, table, seven_vocab)
         assert vals[0] == pytest.approx(cosine(table.vector("analyze"), ctx_vec), abs=1e-12)
         assert vals[1] == pytest.approx(cosine(table.vector("optimize"), ctx_vec), abs=1e-12)
+
+    def test_embedding_alignment_releases_a_reordered_table(self, seven_vocab):
+        in_order = synthetic_table(seven_vocab, dim=8, seed=3)
+        reversed_vocab = Vocabulary.from_tokens(seven_vocab.tokens[::-1])
+        table = EmbeddingTable(reversed_vocab, in_order.matrix[::-1].copy())
+        matrix = weakref.ref(table.matrix)
+        provider = EmbeddingAlignment(table, seven_vocab)
+        del table
+        assert matrix() is None  # only the reordered copy is kept
+        ctx = GenerationContext()
+        ctx.append(seven_vocab.index["data"])
+        expected = EmbeddingAlignment(in_order, seven_vocab)(ctx, [0, 1, 2])
+        assert provider(ctx, [0, 1, 2]).tolist() == expected.tolist()
 
 
 class TestPipelineFixture:

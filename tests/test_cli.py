@@ -2,9 +2,11 @@
 
 import json
 import os
+import signal
 import stat
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -306,13 +308,42 @@ class TestGoldenCommand:
         assert len(passes) == 20
 
 
-def run_cli(*args) -> subprocess.CompletedProcess:
-    """``python -m decodekit.cli *args`` in a fresh interpreter, so stderr shows numpy's warnings."""
+def cli_command(*args) -> dict:
+    """Popen arguments for ``python -m decodekit.cli *args`` run from this source tree."""
     src = os.path.dirname(os.path.dirname(decodekit.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run(
-        [sys.executable, "-m", "decodekit.cli", *args], capture_output=True, text=True, env=env, timeout=120
+    return {"args": [sys.executable, "-m", "decodekit.cli", *args], "env": env}
+
+
+def run_cli(*args) -> subprocess.CompletedProcess:
+    """``python -m decodekit.cli *args`` in a fresh interpreter, so stderr shows numpy's warnings."""
+    return subprocess.run(**cli_command(*args), capture_output=True, text=True, timeout=120)
+
+
+def test_sigterm_discards_the_outputs(tmp_path):
+    """SIGTERM exits 143 and removes the corpus's temporary file and the directory made for it."""
+    fifo = tmp_path / "audit.fifo"
+    os.mkfifo(fifo)  # with no reader, opening the audit blocks once the corpus is open
+    cfg = write_json(
+        tmp_path / "run.json",
+        {
+            "sampler": "asts",
+            "max_tokens": 4,
+            "model": {"selector": "synthetic:mixed", "synthetic": {"vocab_size": 32}},
+            "output": {"corpus": str(tmp_path / "newdir" / "out.jsonl")},
+        },
     )
+    with subprocess.Popen(**cli_command("generate", "--config", cfg, "--audit", str(fifo))) as proc:
+        try:
+            deadline = time.monotonic() + 60
+            while not list(tmp_path.glob("newdir/out.jsonl.*.tmp")):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 128 + signal.SIGTERM
+        finally:
+            proc.kill()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["audit.fifo", "run.json"]
 
 
 # model.synthetic entries: the top score overflows at the first step; or the

@@ -18,7 +18,6 @@ from decodekit.core import (
     entropy,
     normalize,
     sample,
-    softmax,
     surprisal,
     temperature_scale,
 )
@@ -39,16 +38,11 @@ weight_lists = st.lists(
 
 
 class TestVocabulary:
-    def test_id_of_roundtrip(self):
+    def test_index_roundtrip(self):
         vocab = Vocabulary.from_tokens(SEVEN_TOKENS)
         for i, tok in enumerate(SEVEN_TOKENS):
-            assert vocab.id_of(tok) == i
+            assert vocab.index[tok] == i
             assert vocab.tokens[i] == tok
-
-    def test_unknown_token_named_in_error(self):
-        vocab = Vocabulary.from_tokens(("a", "b"))
-        with pytest.raises(KeyError, match="zzz"):
-            vocab.id_of("zzz")
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError, match="unique"):
@@ -237,26 +231,6 @@ class TestNormalize:
         base = normalize(vocab, weights)
         scaled = normalize(vocab, np.asarray(weights) * c)
         assert np.allclose(base.probs, scaled.probs, atol=1e-9)
-
-
-class TestSoftmax:
-    def test_matches_direct_formula(self):
-        vocab = Vocabulary.from_tokens(("a", "b", "c"))
-        logits = np.array([1.0, 2.0, 3.0])
-        dist = softmax(vocab, logits)
-        expected = np.exp(logits) / np.exp(logits).sum()
-        assert dist.probs == pytest.approx(expected, abs=1e-12)
-
-    def test_shift_invariant(self):
-        vocab = Vocabulary.from_tokens(("a", "b", "c"))
-        a = softmax(vocab, [0.0, 1.0, -1.0])
-        b = softmax(vocab, [100.0, 101.0, 99.0])
-        assert np.allclose(a.probs, b.probs, atol=1e-12)
-
-    def test_large_logits_stable(self):
-        vocab = Vocabulary.from_tokens(("a", "b"))
-        dist = softmax(vocab, [1000.0, 999.0])
-        assert np.all(np.isfinite(dist.probs))
 
 
 class TestTemperatureScale:

@@ -34,7 +34,7 @@ class TestLoadTable:
         path = write_table(tmp_path, "2 3\nalpha 1.0 0.0 0.0\nbeta 0.5 0.5 0.0\n")
         table = load_table(path)
         assert table.matrix.shape == (2, 3)
-        assert len(table) == 2
+        assert len(table.vocab) == 2
         assert table.vector("alpha").tolist() == [1.0, 0.0, 0.0]
 
     def test_short_row_errors_with_line_number(self, tmp_path):
@@ -78,7 +78,7 @@ class TestLoadTable:
 
     def test_blank_lines_skipped(self, tmp_path):
         path = write_table(tmp_path, "1 2\n\nalpha 1 0\n\n")
-        assert len(load_table(path)) == 1
+        assert len(load_table(path).vocab) == 1
 
     def test_roundtrip_through_save(self, tmp_path):
         vocab = Vocabulary.from_tokens(("a", "b", "c"))
@@ -131,10 +131,6 @@ class TestTable:
     def test_covers_lists_missing(self):
         vocab = Vocabulary.from_tokens(("a", "b", "c"))
         assert one_vector_table().covers(vocab) == ["b", "c"]
-
-    def test_contains(self):
-        table = one_vector_table()
-        assert "a" in table and "b" not in table
 
     def test_vector_is_a_row_of_the_matrix(self):
         table = EmbeddingTable(Vocabulary.from_tokens(("a", "b")), np.array([[1.0, 0.0], [0.0, 2.0]]))

@@ -26,7 +26,6 @@ from decodekit.harness import (
     cmd_golden,
     cmd_metrics,
     cmd_sweep,
-    get_by_path,
     load_config,
     prepare_run,
     run_generation,
@@ -55,6 +54,10 @@ def base_overrides(tmp_path, **extra):
     }
     cfg.update(extra)
     return cfg
+
+
+def read_corpus(path) -> list[dict]:
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
 
 
 def record_pools(monkeypatch) -> list:
@@ -131,11 +134,11 @@ class TestConfigLoading:
 
     def test_path_access_helpers(self, tmp_path):
         cfg = load_config(write_config(tmp_path, {}))
-        assert get_by_path(cfg, "asts.mu3") == 0.2
+        assert cfg["asts"]["mu3"] == 0.2
         set_by_path(cfg, "asts.mu3", 0.7)
         assert cfg["asts"]["mu3"] == 0.7
         with pytest.raises(ConfigError, match="no such config key"):
-            get_by_path(cfg, "asts.mu9")
+            set_by_path(cfg, "asts.mu9", 1)
         with pytest.raises(ConfigError, match="no such config key"):
             set_by_path(cfg, "nothing.here", 1)
 
@@ -244,14 +247,16 @@ class TestGenerate:
     def test_asts_audit_log(self, tmp_path):
         overrides = base_overrides(tmp_path, sampler="asts", num_sequences=2)
         audit_path = tmp_path / "audit.jsonl"
-        records = cmd_generate(write_config(tmp_path, overrides), audit_path=audit_path)
+        cmd_generate(write_config(tmp_path, overrides), audit_path=audit_path)
         lines = audit_path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 2 * 10  # one record per sequence per step
         first = json.loads(lines[0])
         assert first["sequence"] == 0 and first["step"] == 0
         assert {"entropy", "alpha", "beta", "candidates", "chosen_id"} <= set(first)
+        corpus = read_corpus(tmp_path / "out.jsonl")
+        index = default_vocabulary(32).index
         for line in map(json.loads, lines):
-            assert line["chosen_id"] == records[line["sequence"]]["token_ids"][line["step"]]
+            assert line["chosen_id"] == index[corpus[line["sequence"]]["tokens"][line["step"]]]
 
     def test_non_asts_audit_is_empty(self, tmp_path):
         audit_path = tmp_path / "audit.jsonl"
@@ -325,9 +330,8 @@ class TestRunInputs:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(cls, name, counting)
-        records = cmd_generate(write_config(tmp_path, asts_embedding_overrides(tmp_path)))
+        assert cmd_generate(write_config(tmp_path, asts_embedding_overrides(tmp_path))) is None
         assert built == []
-        assert all(r["audit"] == [] for r in records)
         cmd_generate(write_config(tmp_path, asts_embedding_overrides(tmp_path)), tmp_path / "audit.jsonl")
         assert built.count("to_json_line") == 4 * 10
         assert "__init__" not in built  # the audit is written from columns
@@ -342,11 +346,12 @@ class TestRunInputs:
 
         monkeypatch.setattr(ScoreBreakdown, "__init__", counting)
         config = write_config(tmp_path, asts_embedding_overrides(tmp_path))
-        plain = cmd_generate(config)
+        cmd_generate(config)
+        plain = (tmp_path / "out.jsonl").read_bytes()
         assert built == []
-        audited = cmd_generate(config, tmp_path / "audit.jsonl")
+        cmd_generate(config, tmp_path / "audit.jsonl")
         assert len(built) == 4 * 10  # one per step
-        assert [r["tokens"] for r in plain] == [r["tokens"] for r in audited]
+        assert (tmp_path / "out.jsonl").read_bytes() == plain
 
     def test_embedding_table_built_once_per_run(self, tmp_path, monkeypatch):
         calls = []
@@ -399,10 +404,10 @@ class TestStreamedOutputs:
 
         monkeypatch.setattr("decodekit.harness.run_sequence", watching)
         config = write_config(tmp_path, asts_embedding_overrides(tmp_path))
-        records = cmd_generate(config, tmp_path / "audit.jsonl")
+        cmd_generate(config, tmp_path / "audit.jsonl")
         assert seen == [(i, 10 * i) for i in range(4)]
-        assert all(r["audit"] == [] for r in records)
-        assert len(records) == 4 and all(len(r["tokens"]) == 10 for r in records)
+        corpus = read_corpus(tmp_path / "out.jsonl")
+        assert len(corpus) == 4 and all(len(r["tokens"]) == 10 for r in corpus)
         assert (tmp_path / "audit.jsonl").read_text(encoding="utf-8").count("\n") == 4 * 10
         assert temp_files(tmp_path) == []
 

@@ -85,7 +85,7 @@ class TestBand:
     def test_empty_band_falls_back_to_min_deviation(self, seven_dist, seven_vocab):
         d = typical_set_band(seven_dist, 100.0, 100.0)
         assert {seven_vocab.tokens[i] for i in members(d)} == {"tasks"}
-        assert d.prob(seven_vocab.id_of("tasks")) == pytest.approx(1.0)
+        assert d.prob(seven_vocab.index["tasks"]) == pytest.approx(1.0)
 
     def test_fallback_tie_takes_lowest_id(self):
         # Uniform: every deviation is exactly 0, so the tie spans all ids.
@@ -117,8 +117,8 @@ class TestMass:
         renorm = typical_set_mass(seven_dist, 0.2)
         names = {seven_vocab.tokens[i] for i in members(renorm)}
         assert names == {"tasks", "function"}
-        assert renorm.prob(seven_vocab.id_of("tasks")) == pytest.approx(0.165 / 0.335, abs=1e-9)
-        assert renorm.prob(seven_vocab.id_of("function")) == pytest.approx(0.170 / 0.335, abs=1e-9)
+        assert renorm.prob(seven_vocab.index["tasks"]) == pytest.approx(0.165 / 0.335, abs=1e-9)
+        assert renorm.prob(seven_vocab.index["function"]) == pytest.approx(0.170 / 0.335, abs=1e-9)
 
     def test_fixture_deviation_ranking(self, seven_dist, seven_vocab):
         # Growing tau must admit tokens in hand-computed deviation order.
@@ -168,7 +168,7 @@ class TestStep:
     def test_mass_mode_draws_only_members(self, seven_dist, seven_vocab):
         cfg = LtsConfig(mode="mass", tau_mass=0.2)
         rng = Rng(11)
-        allowed = {seven_vocab.id_of("tasks"), seven_vocab.id_of("function")}
+        allowed = {seven_vocab.index["tasks"], seven_vocab.index["function"]}
         counts = {i: 0 for i in allowed}
         for _ in range(5000):
             d = lts_restrict(seven_dist, cfg)
@@ -177,7 +177,7 @@ class TestStep:
             assert tok in allowed
             counts[tok] += 1
         # loose frequency check; the 100k-draw version is in the acceptance suite
-        assert counts[seven_vocab.id_of("tasks")] / 5000 == pytest.approx(0.165 / 0.335, abs=0.03)
+        assert counts[seven_vocab.index["tasks"]] / 5000 == pytest.approx(0.165 / 0.335, abs=0.03)
 
     def test_one_hot(self):
         dist = make_dist([0, 0, 1])
