@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import SEVEN_ENTROPY, SEVEN_PROBS, SEVEN_TOKENS
 from decodekit.core import (
+    MIN_TEMPERATURE,
     DistributionError,
     Rng,
     TokenDistribution,
@@ -20,6 +21,7 @@ from decodekit.core import (
     sample,
     surprisal,
     temperature_scale,
+    tempered_weights,
 )
 
 
@@ -231,6 +233,27 @@ class TestNormalize:
         base = normalize(vocab, weights)
         scaled = normalize(vocab, np.asarray(weights) * c)
         assert np.allclose(base.probs, scaled.probs, atol=1e-9)
+
+
+class TestTemperedWeights:
+    def test_proportional_to_the_power(self):
+        q = np.array([0.1, 0.2, 0.7])
+        w = tempered_weights(q.copy(), 0.5)
+        assert w.max() == 1.0
+        assert w == pytest.approx(q**2 / 0.7**2, abs=1e-12)
+
+    @given(weight_lists, st.floats(min_value=1e-3, max_value=1e3), st.floats(min_value=0.05, max_value=20.0))
+    def test_scale_invariant(self, weights, c, t):
+        # Scaling q shifts log q, which the subtracted maximum cancels.
+        q = np.asarray(weights)
+        assert np.allclose(tempered_weights(q, t), tempered_weights(q * c, t), atol=1e-9)
+
+    def test_extreme_temperatures_stay_finite(self):
+        q = np.array([0.0, 1e-300, 0.25, 0.25 - 1e-16, 0.5])
+        for t in (MIN_TEMPERATURE, 1e-3, 1e6, 1e300):
+            w = tempered_weights(q.copy(), t)
+            assert np.all(np.isfinite(w)) and w.max() == 1.0
+            assert w[0] == 0.0
 
 
 class TestTemperatureScale:

@@ -292,6 +292,13 @@ class TestGenerate:
         with pytest.raises(DataError, match="nope"):
             cmd_generate(write_config(tmp_path, overrides))
 
+    def test_unknown_prompt_file_token_names_the_prompt(self, tmp_path):
+        prompts = tmp_path / "prompts.jsonl"
+        prompts.write_text('{"tokens": ["tok003"]}\n{"tokens": ["tok001", "nope"]}\n', encoding="utf-8")
+        overrides = base_overrides(tmp_path, prompt={"file": str(prompts)})
+        with pytest.raises(DataError, match="prompt 2: token 'nope' not in the model vocabulary"):
+            cmd_generate(write_config(tmp_path, overrides))
+
     def test_sequence_seed_offset_invariant(self, tmp_path):
         # Sequence i of a run equals sequence 0 of a run with seed + i.
         cfg = load_config(write_config(tmp_path, base_overrides(tmp_path)))
