@@ -218,23 +218,22 @@ def surprisal(dist: TokenDistribution, token_id: int) -> float:
 
 
 def _support_ids(size: int, support) -> np.ndarray:
-    """Ids of ``support``: a boolean mask, an integer id array or any iterable of ids; every id when None."""
+    """Ids of ``support``: a boolean mask, or integer ids in any order and with repeats; every id when None."""
     if support is None:
         return np.arange(size)
-    if isinstance(support, np.ndarray) and support.ndim == 1 and support.dtype.kind in "biu":
-        if support.dtype.kind == "b":
-            if support.shape[0] != size:
-                raise IndexError(f"support mask has {support.shape[0]} entries, expected {size}")
-            return np.flatnonzero(support)
-        # Large supports (thousands of ids) stay in numpy; min/max find stray ids.
-        ids = support
-        outside = ids.size and (ids.min() < 0 or ids.max() >= size)
-    else:
-        ids = sorted(set(int(i) for i in support))
-        outside = ids and (ids[0] < 0 or ids[-1] >= size)
-    if outside:
+    ids = support if isinstance(support, np.ndarray) else np.asarray(list(support))
+    if ids.dtype.kind == "b":
+        if ids.shape != (size,):
+            raise IndexError(f"support mask has shape {ids.shape}, expected ({size},)")
+        return np.flatnonzero(ids)
+    if not ids.size:
+        return np.empty(0, dtype=np.intp)
+    if ids.ndim != 1 or ids.dtype.kind not in "iu":
+        raise IndexError(f"support must be a boolean mask or integer token ids, got {ids.dtype} {ids.shape}")
+    # min/max find stray ids without a Python loop over large supports.
+    if ids.min() < 0 or ids.max() >= size:
         raise IndexError("support contains token ids outside the vocabulary")
-    return np.asarray(ids, dtype=np.intp)
+    return ids.astype(np.intp, copy=False)
 
 
 def scatter(size: int, ids: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.float64]:

@@ -83,7 +83,7 @@ def _run_step(cfg: AstsConfig, *, inject_totals: bool):
     """One asts_step over the fixture; optionally inject composite/reward."""
     dist = fixture_distribution()
     vocab = dist.vocab
-    ctx = GenerationContext(window_w=cfg.window_w)
+    ctx = GenerationContext()
     # default=0.0 so a drifted band that admits out-of-fixture tokens is
     # reported by the set check below instead of crashing the step.
     kwargs = dict(

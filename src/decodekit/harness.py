@@ -286,9 +286,9 @@ class SyntheticModel:
         self.profile = profile
         self.vocab = vocab
 
-    def next(self, ctx, step: int):
+    def next(self, history, step: int):
         try:
-            return next_distribution(self.profile, ctx, self.vocab)
+            return next_distribution(self.profile, history, self.vocab)
         except DistributionError as exc:
             raise ConfigError(f"model.synthetic.base_temperature: {exc}") from None
 
@@ -310,7 +310,7 @@ class ReplayModel:
         self.vocab = vocab
         self.rows = rows
 
-    def next(self, ctx, step: int):
+    def next(self, history, step: int):
         return TokenDistribution._checked_by_caller(self.vocab, self.rows[step % len(self.rows)])
 
     def score(self, seq) -> list[float]:
@@ -485,7 +485,6 @@ def run_sequence(cfg: dict, index: int, inputs: RunInputs | None = None) -> dict
                 seed=cfg["seed"] + index,
                 max_tokens=cfg["max_tokens"],
                 prompt=inputs.prompts[index % len(inputs.prompts)],
-                window_w=cfg["asts"]["window_w"],
             )
     except (ConfigError, DataError):
         raise

@@ -25,6 +25,9 @@ validation the output needs: every ``w`` then lies in [0, 1] with one entry
 exactly 1, so ``w / w.sum()`` is finite, nonnegative and sums to 1 within
 about V ulps. NaN, +inf and all -inf fail it, as they fail the checked
 ``TokenDistribution`` constructor.
+
+``drive``, the decode loop every model shares, keeps only the token history;
+per-sequence state such as the ASTS context lives in the sampler.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from decodekit.core import DistributionError, Rng, TokenDistribution, Vocabulary, check_fields, entropy, leaf, sample
-from decodekit.asts import GenerationContext
 
 KINDS = ("peaked", "flat", "mixed", "loop_prone")
 
@@ -99,9 +101,8 @@ def _shifted_exp(scores: np.ndarray, temperature: float, top: float) -> np.ndarr
     return np.exp(scores, out=scores)
 
 
-def next_distribution(profile: LmProfile, ctx, vocab: Vocabulary) -> TokenDistribution:
-    """Next-token distribution after ``ctx``, a GenerationContext or a sliceable id sequence."""
-    history = getattr(ctx, "history", ctx)
+def next_distribution(profile: LmProfile, history, vocab: Vocabulary) -> TokenDistribution:
+    """Next-token distribution after ``history``, a sliceable sequence of token ids."""
     w = _weights(profile, tuple(history[-profile.recency_window :]), len(vocab))
     w /= w.sum()
     return TokenDistribution._checked_by_caller(vocab, w)
@@ -117,50 +118,23 @@ def token_probabilities(profile: LmProfile, seq, size: int) -> list[float]:
     return out
 
 
-def drive(next_fn, sampler, seed: int, max_tokens: int, prompt=(), window_w: int = 8):
+def drive(next_fn, sampler, seed: int, max_tokens: int, prompt=()):
     """Generic decode loop shared by synthetic and replayed models.
 
-    ``next_fn(ctx, step)`` supplies each step's TokenDistribution and
-    ``sampler.restrict(dist, ctx)`` the distribution its rule keeps. The
-    loop makes the step's one draw from it, shows the token and ``dist`` to
-    ``sampler.observe``, then appends the token to ``ctx`` and pushes the
-    step entropy onto its window, for every sampler. The prompt seeds the
-    context but is not part of the returned sequence. Returns (token ids,
-    per-step entropy trace).
+    ``history`` holds the prompt's token ids, then each drawn token.
+    ``next_fn(history, step)`` supplies each step's TokenDistribution and
+    ``sampler.restrict(dist, history)`` the distribution its rule keeps. The
+    loop makes the step's one draw from it and shows the token and ``dist``
+    to ``sampler.observe``. Returns (token ids after the prompt, per-step
+    entropy trace).
     """
     rng = Rng(seed)
-    ctx = GenerationContext(window_w=window_w)
-    for tid in prompt:
-        ctx.append(int(tid))
-    tokens: list[int] = []
+    history = [int(tid) for tid in prompt]
     trace: list[float] = []
     for step in range(max_tokens):
-        dist = next_fn(ctx, step)
-        h = entropy(dist)
-        token = sample(sampler.restrict(dist, ctx), rng)
+        dist = next_fn(history, step)
+        token = sample(sampler.restrict(dist, history), rng)
         sampler.observe(token, dist)
-        ctx.append(token)
-        ctx.push_entropy(h)
-        tokens.append(token)
-        trace.append(h)
-    return tokens, trace
-
-
-def generate(
-    profile: LmProfile,
-    sampler,
-    vocab: Vocabulary,
-    seed: int,
-    max_tokens: int,
-    prompt=(),
-    window_w: int = 8,
-) -> tuple[list[int], list[float]]:
-    """Run the decode loop on a synthetic profile; see ``drive``."""
-    return drive(
-        lambda ctx, step: next_distribution(profile, ctx, vocab),
-        sampler,
-        seed,
-        max_tokens,
-        prompt=prompt,
-        window_w=window_w,
-    )
+        history.append(token)
+        trace.append(entropy(dist))
+    return history[len(prompt) :], trace

@@ -9,6 +9,8 @@ each numeric leaf of ``SCHEMA`` to valid-typed extremes and its bounds.
 import json
 import math
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -255,6 +257,36 @@ def test_readme_library_block_runs():
     exec(block, namespace)
     assert len(namespace["tokens"]) == len(namespace["entropy_trace"]) == 100
     assert len(namespace["nucleus_tokens"]) == 100
+
+
+_FAILING_THEN_PASSING = """\
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_failing_hypothesis_test_does_not_abort_the_suite(tmp_path):
+    # Under the project's warning filters, hypothesis's failure report must
+    # not raise inside pytest: the run reports the failure and goes on.
+    (tmp_path / "test_two.py").write_text(_FAILING_THEN_PASSING, encoding="utf-8")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"), "-p", "no:cacheprovider", "-q"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout
+    assert "INTERNALERROR" not in run.stdout + run.stderr
 
 
 def test_benchmark_workload_configs_load(tmp_path, monkeypatch):

@@ -190,7 +190,8 @@ class TestNormalize:
     @pytest.mark.parametrize(
         "support",
         [[5, 2, 5], frozenset({2, 5}), np.array([5, 2]), np.array([2, 5], dtype=np.uint8),
-         np.array([False, False, True, False, False, True, False])],
+         np.array([False, False, True, False, False, True, False]),
+         [False, False, True, False, False, True, False]],
     )
     def test_support_forms_agree(self, seven_vocab, support):
         dist = normalize(seven_vocab, SEVEN_PROBS, support=support)
@@ -203,6 +204,8 @@ class TestNormalize:
             normalize(seven_vocab, np.ones(7), support=np.array([-1, 2]))
         with pytest.raises(IndexError):
             normalize(seven_vocab, np.ones(7), support=np.ones(6, dtype=bool))
+        with pytest.raises(IndexError, match="integer token ids"):
+            normalize(seven_vocab, np.ones(7), support=[2.9])
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_total_rejected(self, seven_vocab):

@@ -103,6 +103,10 @@ DIGESTS = {
         "eb2ece8a3f306028cbaf9e6f0e5fc54871f4235cdb2a2651ba4b908aa525307b",
         "226f0227fbe44bfadabf136087dd2c481a34230e6a961bc7bc09f55a8bdd6a44",
     ),
+    "generate_asts_prompt_w3": (
+        "14e179c8de26b488d2dfc74f7b1afe9e6f02a9b0ecc925a323cfbe0afa4f806f",
+        "09b6855c4e88d0232e21755d27ade0b4667c5db2d77acd7fc6cef5a2d4a67a46",
+    ),
 }
 
 
@@ -171,9 +175,19 @@ def _reordered_table_config(tmp_path: Path) -> dict:
     return cfg
 
 
+def _prompt_w3_config() -> dict:
+    """``generate_asts`` continuing a prompt, with an entropy window of 3: 4 sequences of 40 tokens."""
+    cfg = json.loads((CONFIGS / "generate_asts.json").read_text(encoding="utf-8"))
+    cfg.update(max_tokens=40, num_sequences=4, prompt={"tokens": ["tok001", "tok017", "tok042", "tok001"]})
+    cfg["asts"]["window_w"] = 3
+    return cfg
+
+
 def _case_config(case: str, tmp_path: Path) -> dict:
     if case == "generate_asts_reordered_table":
         return _reordered_table_config(tmp_path)
+    if case == "generate_asts_prompt_w3":
+        return _prompt_w3_config()
     if case.startswith("replay"):
         return _replay_config(tmp_path, "greedy" if case == "replay_greedy" else "lts")
     name, _, vocab = case.rpartition("_v")

@@ -9,16 +9,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from decodekit.asts import AstsConfig, ConstantScores
+from decodekit.asts import AstsConfig, ConstantScores, GenerationContext, asts_step
 from decodekit.baselines import MirostatState, greedy_restrict, nucleus_restrict, topk_restrict
-from decodekit.core import Rng, default_vocabulary, entropy
+from decodekit.core import Rng, default_vocabulary, entropy, sample
 from decodekit.harness import DEFAULTS, build_sampler
 from decodekit.lts import LtsConfig, lts_restrict
 from decodekit.samplers import SAMPLER_NAMES, AstsSampler, MirostatSampler, TruncationSampler
-from decodekit.simlm import KINDS, LmProfile, drive, generate, next_distribution
+from decodekit.simlm import KINDS, LmProfile, drive, next_distribution
 
 VOCAB = default_vocabulary(32)
 GREEDY = TruncationSampler(greedy_restrict)
+
+
+def model(profile, vocab=VOCAB):
+    """``drive``'s ``next_fn`` for a synthetic profile."""
+    return lambda history, step: next_distribution(profile, history, vocab)
 
 
 class TestProfile:
@@ -99,13 +104,13 @@ class TestNextDistribution:
 
 class TestGenerate:
     def test_max_tokens_one(self):
-        tokens, trace = generate(LmProfile(), GREEDY, VOCAB, seed=0, max_tokens=1)
+        tokens, trace = drive(model(LmProfile()), GREEDY, seed=0, max_tokens=1)
         assert len(tokens) == 1
         assert len(trace) == 1
 
     def test_greedy_is_run_invariant(self):
         profile = LmProfile(kind="peaked", seed=3)
-        runs = [generate(profile, GREEDY, VOCAB, seed=9, max_tokens=25) for _ in range(3)]
+        runs = [drive(model(profile), GREEDY, seed=9, max_tokens=25) for _ in range(3)]
         assert runs[0] == runs[1] == runs[2]
 
     def test_full_run_determinism_across_samplers(self):
@@ -119,28 +124,28 @@ class TestGenerate:
             AstsSampler(AstsConfig(), ConstantScores(), ConstantScores()),
         ]
         for make in samplers:
-            a = generate(profile, _fresh(make), VOCAB, seed=11, max_tokens=20)
-            b = generate(profile, _fresh(make), VOCAB, seed=11, max_tokens=20)
+            a = drive(model(profile), _fresh(make), seed=11, max_tokens=20)
+            b = drive(model(profile), _fresh(make), seed=11, max_tokens=20)
             assert a == b, type(make).__name__
 
     def test_different_seeds_differ(self):
         profile = LmProfile(kind="flat", base_temperature=10.0, seed=3)
         nucleus = TruncationSampler(partial(nucleus_restrict, p=0.95))
-        a, _ = generate(profile, nucleus, VOCAB, seed=1, max_tokens=30)
-        b, _ = generate(profile, nucleus, VOCAB, seed=2, max_tokens=30)
+        a, _ = drive(model(profile), nucleus, seed=1, max_tokens=30)
+        b, _ = drive(model(profile), nucleus, seed=2, max_tokens=30)
         assert a != b
 
     def test_prompt_seeds_context_but_not_output(self):
         profile = LmProfile(kind="peaked", seed=3)
-        tokens, _ = generate(profile, GREEDY, VOCAB, seed=0, max_tokens=5, prompt=(1, 2, 3))
+        tokens, _ = drive(model(profile), GREEDY, seed=0, max_tokens=5, prompt=(1, 2, 3))
         assert len(tokens) == 5
         # a different prompt steers the conditional distributions
-        other, _ = generate(profile, GREEDY, VOCAB, seed=0, max_tokens=5, prompt=(4, 5, 6))
+        other, _ = drive(model(profile), GREEDY, seed=0, max_tokens=5, prompt=(4, 5, 6))
         assert tokens != other
 
     def test_entropy_trace_matches_replayed_distributions(self):
         profile = LmProfile(kind="mixed", seed=8)
-        tokens, trace = generate(profile, GREEDY, VOCAB, seed=0, max_tokens=15)
+        tokens, trace = drive(model(profile), GREEDY, seed=0, max_tokens=15)
         history = []
         for tok, h in zip(tokens, trace):
             dist = next_distribution(profile, history, VOCAB)
@@ -149,29 +154,66 @@ class TestGenerate:
 
     def test_asts_sampler_collects_breakdowns(self):
         sampler = AstsSampler(AstsConfig(), ConstantScores(), ConstantScores())
-        tokens, _ = generate(LmProfile(seed=1), sampler, VOCAB, seed=4, max_tokens=8)
+        tokens, _ = drive(model(LmProfile(seed=1)), sampler, seed=4, max_tokens=8)
         assert len(sampler.breakdowns) == 8
         assert all(t in b.token_ids for b, t in zip(sampler.breakdowns, tokens))
 
 
 @pytest.mark.parametrize("name", SAMPLER_NAMES)
 def test_drive_keeps_the_context_for_every_sampler(name):
-    sampler = build_sampler({**copy.deepcopy(DEFAULTS), "sampler": name}, VOCAB)
+    cfg = copy.deepcopy(DEFAULTS)
+    cfg["sampler"] = name
+    cfg["asts"]["window_w"] = 5
+    sampler = build_sampler(cfg, VOCAB)
     profile = LmProfile(kind="mixed", seed=5)
     prompt = (3, 1, 4)
-    seen = []
+    seen = []  # (caller, history, its length) for every next_fn and restrict call
 
-    def next_fn(ctx, step):
-        seen.append((ctx, len(ctx.history)))
-        return next_distribution(profile, ctx, VOCAB)
+    def next_fn(history, step):
+        seen.append(("next", history, len(history)))
+        return next_distribution(profile, history, VOCAB)
 
-    tokens, trace = drive(next_fn, sampler, seed=2, max_tokens=12, prompt=prompt, window_w=5)
-    ctx = seen[0][0]
-    assert all(c is ctx for c, _ in seen)
-    assert [n for _, n in seen] == [len(prompt) + step for step in range(12)]
-    assert ctx.history == [*prompt, *tokens]
-    assert ctx.freq == Counter(ctx.history)
-    assert list(ctx.entropy_window) == trace[-5:]
+    restrict = sampler.restrict
+
+    def recording_restrict(dist, history):
+        seen.append(("restrict", history, len(history)))
+        return restrict(dist, history)
+
+    sampler.restrict = recording_restrict
+    tokens, trace = drive(next_fn, sampler, seed=2, max_tokens=12, prompt=prompt)
+    history = seen[0][1]
+    assert all(h is history for _, h, _ in seen)
+    assert [(who, n) for who, _, n in seen] == [
+        (who, len(prompt) + step) for step in range(12) for who in ("next", "restrict")
+    ]
+    assert history == [*prompt, *tokens]
+    if name == "asts":
+        ctx = sampler.ctx
+        assert ctx.history == history
+        assert ctx.freq == Counter(history)
+        assert list(ctx.entropy_window) == trace[-sampler.cfg.window_w :]
+
+
+def test_asts_sampler_sizes_its_window_from_its_config():
+    """The entropy window is ``AstsConfig.window_w``: drive equals a hand loop over asts_step."""
+    cfg = AstsConfig(window_w=2)
+    vocab = default_vocabulary(64)
+    profile = LmProfile(kind="mixed", seed=3)
+    sampler = AstsSampler(cfg, ConstantScores(), ConstantScores())
+    tokens, trace = drive(model(profile, vocab), sampler, seed=3, max_tokens=60)
+
+    rng = Rng(3)
+    ctx = GenerationContext(window_w=2)
+    want_tokens, want_trace = [], []
+    for _ in range(60):
+        dist = next_distribution(profile, ctx.history, vocab)
+        final, _ = asts_step(dist, ctx, cfg, ConstantScores(), ConstantScores())
+        token = sample(final, rng)
+        ctx.append(token)
+        ctx.push_entropy(entropy(dist))
+        want_tokens.append(token)
+        want_trace.append(entropy(dist))
+    assert (tokens, trace) == (want_tokens, want_trace)
 
 
 def _fresh(sampler):

@@ -3,8 +3,8 @@
 ``oracle_next_distribution`` is the earlier ``simlm.next_distribution``:
 the same digest -> PCG64 -> gaussian scores -> softmax, finished by the
 checked ``TokenDistribution`` constructor. ``oracle_scorer`` is the earlier
-``harness._model_scorer``: one ``model.next(ctx, step).prob(t)`` per
-position from a fresh context. ``next_distribution``, ``token_probabilities``
+``harness._model_scorer``: one ``model.next(history, step).prob(t)`` per
+position, from an empty history. ``next_distribution``, ``token_probabilities``
 and every model's ``score`` must give the same bytes.
 """
 
@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decodekit.asts import GenerationContext
 from decodekit.core import DistributionError, TokenDistribution, default_vocabulary
 from decodekit.harness import ReplayModel, SyntheticModel
 from decodekit.simlm import KINDS, LmProfile, next_distribution, token_probabilities
@@ -25,8 +24,7 @@ from decodekit.simlm import KINDS, LmProfile, next_distribution, token_probabili
 _MIXED_FACTORS = (0.25, 1.0, 4.0)
 
 
-def oracle_next_distribution(profile, ctx, vocab):
-    history = list(getattr(ctx, "history", ctx))
+def oracle_next_distribution(profile, history, vocab):
     suffix = tuple(history[-profile.recency_window :])
     payload = str(profile.seed).encode() + b"|" + b",".join(str(t).encode() for t in suffix)
     digest = hashlib.blake2b(payload, digest_size=16).digest()
@@ -47,11 +45,11 @@ def oracle_next_distribution(profile, ctx, vocab):
 
 
 def oracle_scorer(model, seq):
-    ctx = GenerationContext(window_w=8)
+    history = []
     out = []
     for step, t in enumerate(seq):
-        out.append(model.next(ctx, step).prob(int(t)))
-        ctx.append(int(t))
+        out.append(model.next(history, step).prob(int(t)))
+        history.append(int(t))
     return out
 
 
