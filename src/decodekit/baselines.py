@@ -1,21 +1,16 @@
-"""Reference samplers: greedy, top-k, nucleus (top-p) and a Mirostat-style
-surprise-feedback controller.
+"""Reference samplers: greedy, top-k, nucleus (top-p) and Mirostat's cut.
 
 Each is a truncation rule that maps a distribution to its renormalised
 truncation; ``simlm.drive`` draws from the result. Greedy keeps the one-hot
-on the argmax. Mirostat's cut depends on its controller state:
-``mirostat_step`` is the cut, and ``MirostatState.update`` moves the budget
-once the token is drawn.
+on the argmax. ``mirostat_step`` cuts at a surprise budget; the controller
+that moves the budget after each draw is ``samplers.MirostatSampler``.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
-
 import numpy as np
 
-from decodekit.core import TokenDistribution, mass_count, restrict, surprisal, top_ids
+from decodekit.core import TokenDistribution, mass_count, restrict, top_ids
 
 
 def greedy_restrict(dist: TokenDistribution) -> TokenDistribution:
@@ -39,36 +34,14 @@ def nucleus_restrict(dist: TokenDistribution, p: float) -> TokenDistribution:
     return restrict(dist, top_ids(dist, mass_count(descending, p)))
 
 
-@dataclass(frozen=True)
-class MirostatState:
-    """Controller state; mu is the current surprise budget in nats."""
+def mirostat_step(dist: TokenDistribution, mu: float) -> TokenDistribution:
+    """The tokens within the surprise budget ``mu`` (nats), renormalised.
 
-    mu: float
-    target_tau: float = 3.0
-    eta: float = 0.1
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.mu):
-            raise ValueError(f"mirostat mu must be finite, got {self.mu!r}")
-
-    @classmethod
-    def initial(cls, target_tau: float = 3.0, eta: float = 0.1, mu0: float | None = None):
-        """Fresh state; mu0 defaults to 2*target_tau, the usual warm start."""
-        return cls(mu=2.0 * target_tau if mu0 is None else mu0, target_tau=target_tau, eta=eta)
-
-    def update(self, dist: TokenDistribution, token: int) -> "MirostatState":
-        """The budget after drawing ``token``: mu - eta*(s - target_tau), s its surprisal under ``dist``."""
-        return replace(self, mu=self.mu - self.eta * (surprisal(dist, token) - self.target_tau))
-
-
-def mirostat_step(dist: TokenDistribution, state: MirostatState) -> TokenDistribution:
-    """The tokens within the current surprise budget, renormalised.
-
-    Tokens with surprisal above ``state.mu`` are cut; when nothing survives
-    the argmax alone is kept.
+    Tokens with surprisal above ``mu`` are cut; when nothing survives the
+    argmax alone is kept.
     """
     ids = dist.support()
-    kept = ids[-np.log(dist.probs[ids]) <= state.mu]
+    kept = ids[-np.log(dist.probs[ids]) <= mu]
     if not kept.size:
         return greedy_restrict(dist)
     return restrict(dist, kept)

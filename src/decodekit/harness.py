@@ -21,6 +21,7 @@ import copy
 import json
 import os
 import sys
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -29,7 +30,7 @@ import numpy as np
 
 from decodekit import golden, metrics, outputs, simlm
 from decodekit.asts import AstsConfig, ConstantScores, EmbeddingAlignment, KeywordRelevance, ProviderError
-from decodekit.baselines import MirostatState, greedy_restrict, nucleus_restrict, topk_restrict
+from decodekit.baselines import greedy_restrict, nucleus_restrict, topk_restrict
 from decodekit.core import (
     DistributionError, TokenDistribution, Vocabulary, check_leaf, default_vocabulary, leaf, utf8_error
 )
@@ -192,8 +193,8 @@ def _check_leaf(path: str, spec, value):
     _expect(ok, path, f"must be {_TYPE_NAMES[kind]}{nullable}, got {value!r}")
     if value is None:
         return value
-    if kind is int:
-        # numpy and deque sizes take at most signed 64 bits.
+    if kind is int and "hi" not in spec.metadata:
+        # numpy and deque sizes take at most signed 64 bits; a declared hi bounds the rest.
         _expect(-(2**63) <= value < 2**63, path, f"must fit in a signed 64-bit integer, got {value!r}")
     try:
         check_leaf(path, spec, value)
@@ -394,34 +395,29 @@ def _build_relevance(cfg: dict, vocab: Vocabulary):
     return ConstantScores(0.0)
 
 
-def build_providers(cfg: dict, vocab: Vocabulary):
-    """The ASTS (alignment, relevance) providers; None for other samplers."""
-    if cfg["sampler"] != "asts":
-        return None
-    return _build_alignment(cfg, vocab), _build_relevance(cfg, vocab)
+def build_sampler(cfg: dict, vocab: Vocabulary, audit: bool = False):
+    """A function of no arguments that makes a fresh sampler adapter for one sequence.
 
-
-def build_sampler(cfg: dict, vocab: Vocabulary, providers=None):
-    """Fresh per-sequence sampler adapter for the configured strategy.
-
-    ``providers`` passes a run's ``build_providers`` result to each
-    sequence; without it an ASTS sampler builds its own.
+    What a run's sequences share (the rule's parameters, the ASTS config and
+    its providers) is built here, once. The result is a ``partial`` so that a
+    worker pool can pickle it. Without ``audit`` an ASTS adapter keeps no
+    breakdowns.
     """
     name = cfg["sampler"]
     if name == "greedy":
-        return TruncationSampler(greedy_restrict)
+        return partial(TruncationSampler, greedy_restrict)
     if name == "topk":
-        return TruncationSampler(partial(topk_restrict, k=cfg["topk"]["k"]))
+        return partial(TruncationSampler, partial(topk_restrict, k=cfg["topk"]["k"]))
     if name == "nucleus":
-        return TruncationSampler(partial(nucleus_restrict, p=cfg["nucleus"]["p"]))
+        return partial(TruncationSampler, partial(nucleus_restrict, p=cfg["nucleus"]["p"]))
     if name == "mirostat":
         m = cfg["mirostat"]
-        return MirostatSampler(MirostatState.initial(target_tau=m["tau"], eta=m["eta"], mu0=m["mu0"]))
+        return partial(MirostatSampler, m["tau"], m["eta"], 2.0 * m["tau"] if m["mu0"] is None else m["mu0"])
     if name == "lts":
-        return TruncationSampler(partial(lts_restrict, cfg=LtsConfig(**cfg["lts"])))
+        return partial(TruncationSampler, partial(lts_restrict, cfg=LtsConfig(**cfg["lts"])))
     if name == "asts":
-        alignment, relevance = providers or build_providers(cfg, vocab)
-        return AstsSampler(cfg=_asts_config(cfg), alignment=alignment, relevance=relevance)
+        shared = (_asts_config(cfg), _build_alignment(cfg, vocab), _build_relevance(cfg, vocab))
+        return partial(AstsSampler, *shared) if audit else partial(AstsSampler, *shared, None)
     raise ConfigError(f"sampler: unknown sampler {name!r}")
 
 
@@ -451,16 +447,18 @@ class RunInputs:
     """What every sequence of a run shares; immutable, so built once per run."""
 
     model: object
+    new_sampler: Callable[[], object]  # build_sampler's factory: a fresh adapter per call
     prompts: list
-    providers: tuple | None
-    audit: bool  # whether sequences keep their ASTS audit lines
 
 
 def prepare_run(cfg: dict, audit: bool = False) -> RunInputs:
-    """Build a run's model, prompts and ASTS providers; input errors raise here."""
+    """Build a run's model, sampler factory and prompts; input errors raise here.
+
+    With ``audit`` the sequences keep their ASTS audit lines.
+    """
     model = build_model(cfg)
-    providers = build_providers(cfg, model.vocab)
-    return RunInputs(model, _resolve_prompts(cfg, model.vocab), providers, audit)
+    new_sampler = build_sampler(cfg, model.vocab, audit)  # an embedding-table error precedes a prompt error
+    return RunInputs(model, new_sampler, _resolve_prompts(cfg, model.vocab))
 
 
 def run_sequence(cfg: dict, index: int, inputs: RunInputs | None = None) -> dict:
@@ -476,9 +474,7 @@ def run_sequence(cfg: dict, index: int, inputs: RunInputs | None = None) -> dict
         # A scale field large enough to overflow a step makes numpy warn
         # before the step raises; the ConfigError below is the one report.
         with np.errstate(over="ignore", invalid="ignore"):
-            sampler = build_sampler(cfg, vocab, inputs.providers)
-            if isinstance(sampler, AstsSampler) and not inputs.audit:
-                sampler.breakdowns = None  # keep no audit, so build no breakdowns
+            sampler = inputs.new_sampler()
             tokens, trace = simlm.drive(
                 model.next,
                 sampler,
@@ -490,9 +486,8 @@ def run_sequence(cfg: dict, index: int, inputs: RunInputs | None = None) -> dict
         raise
     except _OVERFLOW_ERRORS.get(cfg["sampler"], ()) as exc:
         raise ConfigError(f"{_overflowing_field(cfg)}: {exc}") from None
-    audit = []
-    if inputs.audit and isinstance(sampler, AstsSampler):
-        audit = [b.to_json_line(index, t, token) for t, (b, token) in enumerate(zip(sampler.breakdowns, tokens))]
+    breakdowns = getattr(sampler, "breakdowns", None) or ()  # only an audited ASTS adapter keeps them
+    audit = [b.to_json_line(index, t, token) for t, (b, token) in enumerate(zip(breakdowns, tokens))]
     return {
         "id": index,
         "token_ids": tokens,

@@ -7,19 +7,21 @@ which sees the drawn token with the unrestricted step distribution.
 distribution; ``history`` is its list of token ids (prompt, then drawn
 tokens), which adapters read without changing.
 ``TruncationSampler`` serves every stateless rule (greedy, top-k, nucleus,
-LTS band or mass). Mirostat and ASTS keep per-sequence state (the
-controller; the ASTS context and audit trail), so the harness builds a
-fresh adapter per sequence.
+LTS band or mass). Mirostat and ASTS keep per-sequence state (the surprise
+budget; the ASTS context and audit trail), so each sequence gets a fresh
+adapter from the factory ``harness.build_sampler`` returns, which holds
+what the run's sequences share.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from decodekit.asts import AstsConfig, GenerationContext, ScoreBreakdown, asts_step, asts_step_deferred
-from decodekit.baselines import MirostatState, mirostat_step
-from decodekit.core import TokenDistribution, entropy
+from decodekit.baselines import mirostat_step
+from decodekit.core import TokenDistribution, entropy, surprisal
 
 SAMPLER_NAMES = ("greedy", "topk", "nucleus", "mirostat", "lts", "asts")
 
@@ -37,15 +39,29 @@ class TruncationSampler:
         pass
 
 
+def _finite_mu(mu: float) -> float:
+    if not math.isfinite(mu):
+        raise ValueError(f"mirostat mu must be finite, got {mu!r}")
+    return mu
+
+
 @dataclass
 class MirostatSampler:
-    state: MirostatState
+    """Mirostat's surprise-feedback controller; ``mu`` is the sequence's surprise budget in nats."""
+
+    target_tau: float
+    eta: float
+    mu: float
+
+    def __post_init__(self) -> None:
+        _finite_mu(self.mu)
 
     def restrict(self, dist: TokenDistribution, history) -> TokenDistribution:
-        return mirostat_step(dist, self.state)
+        return mirostat_step(dist, self.mu)
 
     def observe(self, token: int, dist: TokenDistribution) -> None:
-        self.state = self.state.update(dist, token)
+        """Move the budget to mu - eta*(s - target_tau), s the drawn token's surprisal under ``dist``."""
+        self.mu = _finite_mu(self.mu - self.eta * (surprisal(dist, token) - self.target_tau))
 
 
 @dataclass

@@ -319,10 +319,10 @@ def nucleus_restrict(dist: TokenDistribution, p: float) -> TokenDistribution:
     return restrict(dist, top_mask(dist, mass_count(descending, p)))
 
 
-def mirostat_step(dist: TokenDistribution, state) -> TokenDistribution:
+def mirostat_step(dist: TokenDistribution, mu: float) -> TokenDistribution:
     ids = dist.support()
     keep = np.zeros(len(dist), dtype=bool)
-    keep[ids] = -np.log(dist.probs[ids]) <= state.mu
+    keep[ids] = -np.log(dist.probs[ids]) <= mu
     if not keep.any():
         return greedy_restrict(dist)
     return restrict(dist, keep)

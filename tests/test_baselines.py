@@ -1,5 +1,6 @@
 """Baseline samplers: greedy, top-k, nucleus, mirostat controller."""
 
+import copy
 import math
 
 import numpy as np
@@ -7,14 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decodekit.baselines import (
-    MirostatState,
-    greedy_restrict,
-    mirostat_step,
-    nucleus_restrict,
-    topk_restrict,
-)
-from decodekit.core import Rng, TokenDistribution, Vocabulary, sample, surprisal
+from decodekit.baselines import greedy_restrict, mirostat_step, nucleus_restrict, topk_restrict
+from decodekit.core import Rng, TokenDistribution, Vocabulary, default_vocabulary, sample, surprisal
+from decodekit.harness import DEFAULTS, build_sampler
+from decodekit.samplers import MirostatSampler
 
 
 def greedy_token(dist):
@@ -23,10 +20,11 @@ def greedy_token(dist):
     return token
 
 
-def mirostat_draw(dist, state, rng):
-    """One Mirostat step as ``simlm.drive`` takes it: cut, draw, then update mu."""
-    token = sample(mirostat_step(dist, state), rng)
-    return token, state.update(dist, token)
+def mirostat_draw(dist, sampler, rng):
+    """One Mirostat step as ``simlm.drive`` takes it: cut at mu, draw, then update mu."""
+    token = sample(mirostat_step(dist, sampler.mu), rng)
+    sampler.observe(token, dist)
+    return token
 
 
 def make_dist(weights):
@@ -144,61 +142,70 @@ class TestNucleus:
         assert sample(restricted, Rng(seed)) in set(restricted.support().tolist())
 
 
+def mirostat_config(**section):
+    cfg = copy.deepcopy(DEFAULTS)
+    cfg["sampler"] = "mirostat"
+    cfg["mirostat"].update(section)
+    return cfg
+
+
 class TestMirostat:
     def test_initial_state_defaults(self):
-        state = MirostatState.initial(target_tau=3.0, eta=0.1)
-        assert state.mu == 6.0
-        assert state.target_tau == 3.0
-        state = MirostatState.initial(target_tau=3.0, mu0=4.5)
-        assert state.mu == 4.5
+        vocab = default_vocabulary(8)
+        sampler = build_sampler(mirostat_config(), vocab)()
+        assert (sampler.mu, sampler.target_tau, sampler.eta) == (6.0, 3.0, 0.1)  # mu0 null = 2 * tau
+        assert build_sampler(mirostat_config(tau=2.5, mu0=None), vocab)().mu == 5.0
+        assert build_sampler(mirostat_config(mu0=4.5), vocab)().mu == 4.5
 
     def test_one_hot_raises_mu(self):
         # s = 0 < tau, so the budget grows by eta * tau.
         dist = make_dist([0, 1])
-        state = MirostatState.initial(target_tau=3.0, eta=0.1)
-        tok, new = mirostat_draw(dist, state, Rng(0))
+        sampler = MirostatSampler(target_tau=3.0, eta=0.1, mu=6.0)
+        tok = mirostat_draw(dist, sampler, Rng(0))
         assert tok == 1
-        assert new.mu == pytest.approx(state.mu + 0.1 * 3.0, abs=1e-12)
+        assert sampler.mu == pytest.approx(6.0 + 0.1 * 3.0, abs=1e-12)
 
     def test_eta_zero_freezes_mu(self, seven_dist):
-        state = MirostatState.initial(target_tau=3.0, eta=0.0)
+        sampler = MirostatSampler(target_tau=3.0, eta=0.0, mu=6.0)
         rng = Rng(3)
         for _ in range(10):
-            _, state = mirostat_draw(seven_dist, state, rng)
-        assert state.mu == 6.0
+            mirostat_draw(seven_dist, sampler, rng)
+        assert sampler.mu == 6.0
 
     def test_uniform_twenty_long_run_average(self):
         # Every draw from uniform-20 has surprisal ln 20 ~= 2.996.
         dist = make_dist([1.0] * 20)
-        state = MirostatState.initial(target_tau=3.0, eta=0.1)
+        sampler = MirostatSampler(target_tau=3.0, eta=0.1, mu=6.0)
         rng = Rng(1234)
         total = 0.0
         n = 5000
         for _ in range(n):
-            tok, state = mirostat_draw(dist, state, rng)
+            tok = mirostat_draw(dist, sampler, rng)
             total += surprisal(dist, tok)
         assert total / n == pytest.approx(min(3.0, math.log(20)), abs=0.3)
 
     def test_low_budget_cuts_high_surprisal_tokens(self, seven_dist):
         # mu below every fixture surprisal (min 1.743): argmax fallback.
-        state = MirostatState(mu=1.0)
         for seed in range(10):
-            tok, _ = mirostat_draw(seven_dist, state, Rng(seed))
-            assert tok == 0
+            assert sample(mirostat_step(seven_dist, 1.0), Rng(seed)) == 0
 
     def test_budget_between_members_truncates(self, seven_dist, seven_vocab):
         # Fixture surprisals: 1.743, 1.760, 1.772, 1.802, 2.120, 2.303, 2.323.
-        state = MirostatState(mu=1.9)
+        restricted = mirostat_step(seven_dist, 1.9)
         seen = set()
         rng = Rng(7)
         for _ in range(300):
-            tok, _ = mirostat_draw(seven_dist, state, rng)
-            seen.add(seven_vocab.tokens[tok])
+            seen.add(seven_vocab.tokens[sample(restricted, rng)])
         assert seen == {"analyze", "optimize", "function", "tasks"}
 
     def test_invalid_state_rejected(self):
-        with pytest.raises(ValueError):
-            MirostatState(mu=float("nan"))
+        with pytest.raises(ValueError, match="mirostat mu must be finite, got nan"):
+            MirostatSampler(target_tau=3.0, eta=0.1, mu=float("nan"))
+        # s = 0 on a one-hot, so the update adds eta * tau = inf.
+        sampler = MirostatSampler(target_tau=3.0, eta=1e308, mu=6.0)
+        with pytest.raises(ValueError, match="mirostat mu must be finite, got inf"):
+            sampler.observe(1, make_dist([0, 1]))
+        assert sampler.mu == 6.0
 
     @given(
         st.lists(weight_lists, min_size=1, max_size=20),
@@ -209,10 +216,10 @@ class TestMirostat:
     def test_mu_update_is_exactly_affine(self, all_weights, seed, eta, tau):
         # Replay the trajectory and re-derive every mu from the update rule.
         rng = Rng(seed)
-        state = MirostatState.initial(target_tau=tau, eta=eta)
+        sampler = MirostatSampler(target_tau=tau, eta=eta, mu=2.0 * tau)
         for weights in all_weights:
             dist = make_dist(weights)
-            before = state.mu
-            tok, state = mirostat_draw(dist, state, rng)
+            before = sampler.mu
+            tok = mirostat_draw(dist, sampler, rng)
             s = surprisal(dist, tok)
-            assert state.mu == pytest.approx(before - eta * (s - tau), abs=1e-12)
+            assert sampler.mu == pytest.approx(before - eta * (s - tau), abs=1e-12)

@@ -76,6 +76,7 @@ BAD_CONFIGS = [
     ("embed.decay", 0),
     ("nucleus.p", True),
     ("mirostat.mu0", True),
+    ("model.synthetic.seed", 2**64),  # one past its declared hi
 ]
 
 
@@ -110,6 +111,8 @@ class TestLeafTypes:
             ("asts.k1", 2),  # a float leaf takes an int
             ("model.synthetic.base_temperature", 0.5),
             ("mirostat.mu0", 4),
+            ("model.synthetic.seed", 2**63),  # its declared hi, not the signed 64-bit bound, limits it
+            ("model.synthetic.seed", 2**64 - 1),
             ("zipf.max_rank", 40),
             ("prompt.tokens", ["tok002"]),
             ("asts.keywords", ["tok01", "tok02"]),

@@ -3,16 +3,20 @@
 import errno
 import importlib
 import json
+import multiprocessing
 import os
 import stat
 import sys
 import threading
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from decodekit import harness
 from decodekit.asts import CandidateScore, ScoreBreakdown
 from decodekit.core import TokenDistribution, default_vocabulary
 from decodekit.cli import main
@@ -22,6 +26,7 @@ from decodekit.harness import (
     DataError,
     MetricError,
     build_model,
+    build_sampler,
     cmd_generate,
     cmd_golden,
     cmd_metrics,
@@ -32,6 +37,8 @@ from decodekit.harness import (
     run_sequence,
     set_by_path,
 )
+from decodekit.samplers import SAMPLER_NAMES
+from decodekit.simlm import drive
 
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -380,13 +387,51 @@ class TestRunInputs:
         assert outputs[0] == outputs[1]
         assert outputs[0][1].count(b"\n") == 4 * 10
 
-    def test_run_sequence_with_prepared_inputs_matches_standalone(self, tmp_path):
-        cfg = load_config(write_config(tmp_path, asts_embedding_overrides(tmp_path)))
+    @pytest.mark.parametrize("sampler", SAMPLER_NAMES)
+    def test_run_sequence_with_prepared_inputs_matches_standalone(self, tmp_path, sampler):
+        """Three sequences from one factory equal three runs that each build their own inputs."""
+        cfg = load_config(write_config(tmp_path, dict(asts_embedding_overrides(tmp_path), sampler=sampler)))
         inputs = prepare_run(cfg, audit=True)
         for index in range(3):
             shared = run_sequence(cfg, index, inputs)
-            assert shared["tokens"] == run_sequence(cfg, index)["tokens"]
-            assert len(shared["audit"]) == 10
+            assert shared == run_sequence(cfg, index, prepare_run(cfg, audit=True))
+            assert dict(shared, audit=[]) == run_sequence(cfg, index)
+            assert len(shared["audit"]) == (10 if sampler == "asts" else 0)
+
+    @pytest.mark.parametrize("sampler", ["asts", "mirostat"])
+    def test_factory_calls_share_no_sequence_state(self, tmp_path, sampler):
+        """Adapters from one factory share the run's parts, but no context, breakdowns list or budget."""
+        cfg = load_config(write_config(tmp_path, dict(asts_embedding_overrides(tmp_path), sampler=sampler)))
+        model = build_model(cfg)
+        new_sampler = build_sampler(cfg, model.vocab, audit=True)
+        first, second = new_sampler(), new_sampler()
+        drive(model.next, first, seed=1, max_tokens=10)
+        if sampler == "asts":
+            assert first.cfg is second.cfg and first.alignment is second.alignment
+            assert first.ctx is not second.ctx and first.breakdowns is not second.breakdowns
+            assert (len(first.ctx), len(first.breakdowns)) == (10, 10)
+            assert (len(second.ctx), second.breakdowns) == (0, [])
+        else:
+            assert first.mu != 6.0
+            assert second.mu == 6.0  # mu0 null = 2 * tau
+
+    def test_embedding_table_error_precedes_a_prompt_error(self, tmp_path, capsys):
+        overrides = dict(asts_embedding_overrides(tmp_path), prompt={"tokens": ["nope"]})
+        (tmp_path / "emb.txt").write_text("bad header\n", encoding="utf-8")
+        assert main(["generate", "--config", str(write_config(tmp_path, overrides))]) == 3
+        assert "emb.txt: line 1: header fields must be integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sampler", ["mirostat", "asts", "lts"])
+def test_spawned_pool_matches_a_serial_run(tmp_path, monkeypatch, sampler):
+    """Under ``spawn`` (and ``forkserver``, Python 3.14's default on Linux) the pool pickles the run's inputs."""
+    overrides = dict(asts_embedding_overrides(tmp_path), sampler=sampler, max_tokens=8, workers=2)
+    cfg = load_config(write_config(tmp_path, overrides))
+    serial = run_generation(dict(cfg, workers=1), prepare_run(cfg, audit=True))
+    spawning = partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", spawning)
+    assert len(serial) == 4
+    assert run_generation(cfg, prepare_run(cfg, audit=True)) == serial
 
 
 def temp_files(directory) -> list:

@@ -10,11 +10,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from decodekit.asts import AstsConfig, ConstantScores, GenerationContext, asts_step
-from decodekit.baselines import MirostatState, greedy_restrict, nucleus_restrict, topk_restrict
+from decodekit.baselines import greedy_restrict, nucleus_restrict
 from decodekit.core import Rng, default_vocabulary, entropy, sample
 from decodekit.harness import DEFAULTS, build_sampler
-from decodekit.lts import LtsConfig, lts_restrict
-from decodekit.samplers import SAMPLER_NAMES, AstsSampler, MirostatSampler, TruncationSampler
+from decodekit.samplers import SAMPLER_NAMES, AstsSampler, TruncationSampler
 from decodekit.simlm import KINDS, LmProfile, drive, next_distribution
 
 VOCAB = default_vocabulary(32)
@@ -115,18 +114,11 @@ class TestGenerate:
 
     def test_full_run_determinism_across_samplers(self):
         profile = LmProfile(kind="mixed", seed=3)
-        samplers = [
-            GREEDY,
-            TruncationSampler(partial(topk_restrict, k=5)),
-            TruncationSampler(partial(nucleus_restrict, p=0.9)),
-            MirostatSampler(MirostatState.initial(target_tau=3.0, eta=0.1)),
-            TruncationSampler(partial(lts_restrict, cfg=LtsConfig())),
-            AstsSampler(AstsConfig(), ConstantScores(), ConstantScores()),
-        ]
-        for make in samplers:
-            a = drive(model(profile), _fresh(make), seed=11, max_tokens=20)
-            b = drive(model(profile), _fresh(make), seed=11, max_tokens=20)
-            assert a == b, type(make).__name__
+        for name in SAMPLER_NAMES:
+            new_sampler = build_sampler(dict(DEFAULTS, sampler=name), VOCAB)
+            a = drive(model(profile), new_sampler(), seed=11, max_tokens=20)
+            b = drive(model(profile), new_sampler(), seed=11, max_tokens=20)
+            assert a == b, name
 
     def test_different_seeds_differ(self):
         profile = LmProfile(kind="flat", base_temperature=10.0, seed=3)
@@ -164,7 +156,7 @@ def test_drive_keeps_the_context_for_every_sampler(name):
     cfg = copy.deepcopy(DEFAULTS)
     cfg["sampler"] = name
     cfg["asts"]["window_w"] = 5
-    sampler = build_sampler(cfg, VOCAB)
+    sampler = build_sampler(cfg, VOCAB)()
     profile = LmProfile(kind="mixed", seed=5)
     prompt = (3, 1, 4)
     seen = []  # (caller, history, its length) for every next_fn and restrict call
@@ -214,12 +206,3 @@ def test_asts_sampler_sizes_its_window_from_its_config():
         want_tokens.append(token)
         want_trace.append(entropy(dist))
     assert (tokens, trace) == (want_tokens, want_trace)
-
-
-def _fresh(sampler):
-    """Stateful samplers cannot be reused across runs; rebuild them."""
-    if isinstance(sampler, MirostatSampler):
-        return MirostatSampler(MirostatState.initial(target_tau=3.0, eta=0.1))
-    if isinstance(sampler, AstsSampler):
-        return AstsSampler(AstsConfig(), ConstantScores(), ConstantScores())
-    return sampler

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import oracles
 from decodekit import harness, lts
-from decodekit.baselines import MirostatState, greedy_restrict, mirostat_step, nucleus_restrict, topk_restrict
+from decodekit.baselines import greedy_restrict, mirostat_step, nucleus_restrict, topk_restrict
 from decodekit.core import default_vocabulary, entropy, normalize
 from decodekit.lts import typical_set_mass
 
@@ -112,12 +112,11 @@ def _band_edges(data, dist):
     return alpha, beta
 
 
-def _mirostat_state(data, dist):
+def _mirostat_budget(data, dist):
     """A budget from below the smallest surprisal (the argmax rescue) to above the largest."""
     levels = _surprisal_levels(dist)
     low, high = levels[0] - 1.0, levels[-1] + 1.0
-    mu = data.draw(st.one_of(st.sampled_from([low, *levels, high]), st.floats(low, high)))
-    return (MirostatState(mu=mu),)
+    return (data.draw(st.one_of(st.sampled_from([low, *levels, high]), st.floats(low, high))),)
 
 
 # rule -> (live rule, mask oracle, draw of the arguments after dist)
@@ -133,7 +132,7 @@ MASK_RULES = {
         oracles.nucleus_restrict,
         lambda data, dist: (_masses(data, dist, _by_probability(dist)),),
     ),
-    "mirostat": (mirostat_step, oracles.mirostat_step, _mirostat_state),
+    "mirostat": (mirostat_step, oracles.mirostat_step, _mirostat_budget),
     "lts_band": (lts.typical_set_band, oracles.typical_set_band, _band_edges),
     "lts_mass": (
         typical_set_mass,
