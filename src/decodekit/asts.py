@@ -165,9 +165,11 @@ class ScoreBreakdown:
         column without the objects.
         """
         tokens = map(self.vocab.tokens.__getitem__, self.token_ids)
-        cols = [map(str, self.token_ids), map(encode_basestring, tokens)]
+        cols = [self.token_ids, map(encode_basestring, tokens)]
         cols += [_json_floats(self.columns[name].tolist()) for name in SCORE_COLUMNS]
-        entropy, sigma, alpha, beta = _json_floats([self.entropy, self.sigma, self.alpha, self.beta])
+        # float.__repr__, since a {} field would write a numpy header value's own text.
+        head = [self.entropy, self.sigma, self.alpha, self.beta]
+        entropy, sigma, alpha, beta = map(float.__repr__ if math.isfinite(sum(head)) else json.dumps, head)
         return (
             f'{{"sequence": {sequence}, "step": {step}, "entropy": {entropy}, "sigma": {sigma}, '
             f'"alpha": {alpha}, "beta": {beta}, "chosen_id": {chosen_id}, "candidates": ['
@@ -182,16 +184,17 @@ class ScoreBreakdown:
         return line
 
 
-# One candidate object of an audit line; each %s takes a JSON value.
+# One candidate object of an audit line; each %s takes JSON text, an int id or a finite float.
 _CANDIDATE_TEMPLATE = "{" + ", ".join(f'"{name}": %s' for name in ("token_id", "token", *SCORE_COLUMNS)) + "}"
 
 
 def _json_floats(values: list[float]):
-    """Each float as ``json.dumps`` writes it, ``NaN``/``Infinity`` included."""
+    """The values for ``%s`` fields, each printing as ``json.dumps`` writes it, ``NaN``/``Infinity`` included."""
     # A finite sum means every value is finite, since inf and nan propagate;
     # a sum that overflows only sends finite values down the exact slow path.
+    # A finite float's %s text is its repr, which is what json.dumps writes.
     if math.isfinite(sum(values)):
-        return map(float.__repr__, values)
+        return values
     return map(json.dumps, values)
 
 

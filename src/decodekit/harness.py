@@ -87,7 +87,8 @@ SCHEMA: dict = {
     "output": {"corpus": leaf(None, kind=str)},
     "topk": {"k": leaf(10, lo=1)},
     "nucleus": {"p": leaf(0.9, above=0.0, hi=1.0)},
-    "mirostat": {"tau": leaf(3.0), "eta": leaf(0.1, lo=0.0), "mu0": leaf(None, kind=float)},  # mu0 null = 2 * tau
+    # mu0 null = 2 * tau; a tau of zero or below would leave only the argmax at every step.
+    "mirostat": {"tau": leaf(3.0, above=0.0), "eta": leaf(0.1, lo=0.0), "mu0": leaf(None, kind=float)},
     "lts": _section(LtsConfig),
     "asts": {
         **_section(AstsConfig),
@@ -461,33 +462,37 @@ def prepare_run(cfg: dict, audit: bool = False) -> RunInputs:
     return RunInputs(model, new_sampler, _resolve_prompts(cfg, model.vocab))
 
 
-def run_sequence(cfg: dict, index: int, inputs: RunInputs | None = None) -> dict:
+def run_sequence(cfg: dict, index: int, inputs: RunInputs | None = None, write_audit=None) -> dict:
     """Generate sequence ``index`` of a run; pure function of (cfg, index).
 
     ``inputs`` are the run's ``prepare_run(cfg, audit)``; without them they
-    are built here, with no audit.
+    are built here, with no audit. Each audit line is made as soon as its
+    step is drawn and goes to ``write_audit``; without it the record keeps them.
     """
     inputs = inputs or prepare_run(cfg)
     model = inputs.model
     vocab = model.vocab
+    audit: list[str] = []
     try:
         # A scale field large enough to overflow a step makes numpy warn
         # before the step raises; the ConfigError below is the one report.
         with np.errstate(over="ignore", invalid="ignore"):
             sampler = inputs.new_sampler()
+            breakdowns = getattr(sampler, "breakdowns", None)  # only an audited ASTS adapter keeps them
+            emit = write_audit or audit.append
+            on_step = None if breakdowns is None else lambda t, tok: emit(breakdowns.pop().to_json_line(index, t, tok))
             tokens, trace = simlm.drive(
                 model.next,
                 sampler,
                 seed=cfg["seed"] + index,
                 max_tokens=cfg["max_tokens"],
                 prompt=inputs.prompts[index % len(inputs.prompts)],
+                on_step=on_step,
             )
     except (ConfigError, DataError):
         raise
     except _OVERFLOW_ERRORS.get(cfg["sampler"], ()) as exc:
         raise ConfigError(f"{_overflowing_field(cfg)}: {exc}") from None
-    breakdowns = getattr(sampler, "breakdowns", None) or ()  # only an audited ASTS adapter keeps them
-    audit = [b.to_json_line(index, t, token) for t, (b, token) in enumerate(zip(breakdowns, tokens))]
     return {
         "id": index,
         "token_ids": tokens,
@@ -511,17 +516,18 @@ def _sequence_job(index: int) -> dict:
     return run_sequence(cfg, index, inputs)
 
 
-def iter_generation(cfg: dict, inputs: RunInputs | None = None):
+def iter_generation(cfg: dict, inputs: RunInputs | None = None, write_audit=None):
     """Yield a run's records in id order, each as soon as it is ready.
 
     Sequences run in a worker pool when workers and num_sequences are both
     > 1. The run's inputs are built once, before the first record, so a broken
     input raises before any worker starts; each worker receives them once.
     ``inputs`` are the run's ``prepare_run(cfg, audit)``; with ``audit`` the
-    records keep each ASTS step's audit line (``ScoreBreakdown.to_json_line``).
-    Without them they are built here, with no audit. Serially, sequence ``i``
-    starts only when record ``i - 1`` is taken, and the pool drops each record
-    once it is yielded.
+    records keep each ASTS step's audit line (``ScoreBreakdown.to_json_line``),
+    except that a serial run passes each line to ``write_audit``, if given, as
+    its step is drawn. Without them they are built here, with no audit.
+    Serially, sequence ``i`` starts only when record ``i - 1`` is taken, and
+    the pool drops each record once it is yielded.
     """
     inputs = inputs or prepare_run(cfg)
     indices = range(cfg["num_sequences"])
@@ -532,7 +538,7 @@ def iter_generation(cfg: dict, inputs: RunInputs | None = None):
             yield from pool.map(_sequence_job, indices)
     else:
         for i in indices:
-            yield run_sequence(cfg, i, inputs)
+            yield run_sequence(cfg, i, inputs, write_audit)
 
 
 def run_generation(cfg: dict, inputs: RunInputs | None = None) -> list[dict]:
@@ -568,10 +574,11 @@ def _open_named(files: contextlib.ExitStack, what: str, path):
 def cmd_generate(config_path, audit_path=None) -> None:
     """Generate a config's run into ``output.corpus`` and, given ``audit_path``, its ASTS audit.
 
-    Both outputs are opened before the run's inputs are built. Each record's
-    corpus line and audit lines are written as soon as the record arrives and
-    the record is then dropped, so a serial run holds one sequence at a time
-    (a pool also holds the records that finish ahead of the writer).
+    Both outputs are opened before the run's inputs are built. A serial run
+    writes each audit line as its step is drawn and each corpus line as its
+    record arrives, so it holds one sequence and one audit line at a time; a
+    pool's records carry their audit lines (and it holds the records that
+    finish ahead of the writer).
     Both files are written beside their targets and replace them when the
     run ends; a run that fails leaves the earlier files untouched.
     """
@@ -581,9 +588,10 @@ def cmd_generate(config_path, audit_path=None) -> None:
     with outputs.replacing(), contextlib.ExitStack() as files:
         corpus = _open_named(files, "output.corpus", out_path)
         audit = _open_named(files, "audit", audit_path)
+        write_audit = None if audit is None else lambda line: audit.write(line + "\n")
         # Input errors (a broken embedding table, an unknown prompt token) raise
         # before the first record, and the outputs opened above are discarded.
-        for rec in iter_generation(cfg, prepare_run(cfg, audit is not None)):
+        for rec in iter_generation(cfg, prepare_run(cfg, audit is not None), write_audit):
             corpus.write(
                 json.dumps(
                     {"id": rec["id"], "tokens": rec["tokens"], "entropy_trace": rec["entropy_trace"]},
@@ -591,9 +599,8 @@ def cmd_generate(config_path, audit_path=None) -> None:
                 )
                 + "\n"
             )
-            if audit is not None:
-                for line in rec["audit"]:
-                    audit.write(line + "\n")
+            for line in rec["audit"]:  # only a pool's records carry lines
+                write_audit(line)
             del rec  # else it outlives its write while the next sequence runs
 
 

@@ -118,15 +118,15 @@ def token_probabilities(profile: LmProfile, seq, size: int) -> list[float]:
     return out
 
 
-def drive(next_fn, sampler, seed: int, max_tokens: int, prompt=()):
+def drive(next_fn, sampler, seed: int, max_tokens: int, prompt=(), on_step=None):
     """Generic decode loop shared by synthetic and replayed models.
 
     ``history`` holds the prompt's token ids, then each drawn token.
     ``next_fn(history, step)`` supplies each step's TokenDistribution and
     ``sampler.restrict(dist, history)`` the distribution its rule keeps. The
-    loop makes the step's one draw from it and shows the token and ``dist``
-    to ``sampler.observe``. Returns (token ids after the prompt, per-step
-    entropy trace).
+    loop makes the step's one draw from it, shows the token and ``dist`` to
+    ``sampler.observe``, then calls ``on_step(step, token)`` if given.
+    Returns (token ids after the prompt, per-step entropy trace).
     """
     rng = Rng(seed)
     history = [int(tid) for tid in prompt]
@@ -135,6 +135,8 @@ def drive(next_fn, sampler, seed: int, max_tokens: int, prompt=()):
         dist = next_fn(history, step)
         token = sample(sampler.restrict(dist, history), rng)
         sampler.observe(token, dist)
+        if on_step is not None:
+            on_step(step, token)
         history.append(token)
         trace.append(entropy(dist))
     return history[len(prompt) :], trace

@@ -76,6 +76,8 @@ BAD_CONFIGS = [
     ("embed.decay", 0),
     ("nucleus.p", True),
     ("mirostat.mu0", True),
+    ("mirostat.tau", 0.0),  # a budget target of zero or below would make Mirostat greedy
+    ("mirostat.tau", -1.0),
     ("model.synthetic.seed", 2**64),  # one past its declared hi
 ]
 

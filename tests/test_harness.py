@@ -8,6 +8,7 @@ import os
 import stat
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
@@ -447,12 +448,12 @@ class TestStreamedOutputs:
     def test_audit_is_on_disk_before_the_next_sequence_starts(self, tmp_path, monkeypatch):
         seen = []
 
-        def watching(cfg, index, inputs=None):
+        def watching(cfg, index, inputs=None, write_audit=None):
             (tmp,) = tmp_path.glob("audit.jsonl.*.tmp")
             text = tmp.read_text(encoding="utf-8")
             assert text == "" or text.endswith("\n")
             seen.append((index, text.count("\n")))
-            return run_sequence(cfg, index, inputs)
+            return run_sequence(cfg, index, inputs, write_audit)
 
         monkeypatch.setattr("decodekit.harness.run_sequence", watching)
         config = write_config(tmp_path, asts_embedding_overrides(tmp_path))
@@ -463,6 +464,21 @@ class TestStreamedOutputs:
         assert (tmp_path / "audit.jsonl").read_text(encoding="utf-8").count("\n") == 4 * 10
         assert temp_files(tmp_path) == []
 
+    def test_audit_is_held_in_constant_memory(self, tmp_path):
+        """A serial audited run holds one step's audit line, so 8x the tokens is not 8x the peak."""
+        peaks = []
+        for max_tokens in (8, 8, 64):  # the first run warms up
+            overrides = dict(asts_embedding_overrides(tmp_path, max_tokens=max_tokens), num_sequences=2)
+            config = write_config(tmp_path, overrides)
+            tracemalloc.start()
+            try:
+                cmd_generate(config, tmp_path / "audit.jsonl")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (tmp_path / "audit.jsonl").read_text(encoding="utf-8").count("\n") == 2 * 64
+        assert peaks[2] / peaks[1] < 2
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_run_failing_part_way_leaves_earlier_outputs(self, tmp_path, monkeypatch, capsys, workers):
         config = write_config(tmp_path, asts_embedding_overrides(tmp_path, workers=workers))
@@ -470,10 +486,10 @@ class TestStreamedOutputs:
         cmd_generate(config, audit)
         earlier = ((tmp_path / "out.jsonl").read_bytes(), audit.read_bytes())
 
-        def failing(cfg, index, inputs=None):
+        def failing(cfg, index, inputs=None, write_audit=None):
             if index == 2:
                 raise ConfigError(f"sequence 2 failed in process {os.getpid()}")
-            return run_sequence(cfg, index, inputs)
+            return run_sequence(cfg, index, inputs, write_audit)
 
         monkeypatch.setattr("decodekit.harness.run_sequence", failing)
         assert main(["generate", "--config", str(config), "--audit", str(audit)]) == 2
@@ -532,10 +548,10 @@ class TestStreamedOutputs:
         cmd_generate(config, audit)
         earlier = ((tmp_path / "out.jsonl").read_bytes(), (tmp_path / "audit.jsonl").read_bytes())
 
-        def failing(cfg, index, inputs=None):
+        def failing(cfg, index, inputs=None, write_audit=None):
             if index == 2:
                 raise ConfigError("sequence 2 failed")
-            return run_sequence(cfg, index, inputs)
+            return run_sequence(cfg, index, inputs, write_audit)
 
         monkeypatch.setattr("decodekit.harness.run_sequence", failing)
         traced = tracer.Tracer()

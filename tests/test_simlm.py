@@ -120,6 +120,15 @@ class TestGenerate:
             b = drive(model(profile), new_sampler(), seed=11, max_tokens=20)
             assert a == b, name
 
+    @pytest.mark.parametrize("name", SAMPLER_NAMES)
+    def test_on_step_sees_each_drawn_token(self, name):
+        profile = LmProfile(kind="mixed", seed=3)
+        new_sampler = build_sampler(dict(DEFAULTS, sampler=name), VOCAB)
+        seen = []
+        hooked = drive(model(profile), new_sampler(), seed=11, max_tokens=20, prompt=(1, 2), on_step=lambda *s: seen.append(s))
+        assert hooked == drive(model(profile), new_sampler(), seed=11, max_tokens=20, prompt=(1, 2))
+        assert seen == list(enumerate(hooked[0]))
+
     def test_different_seeds_differ(self):
         profile = LmProfile(kind="flat", base_temperature=10.0, seed=3)
         nucleus = TruncationSampler(partial(nucleus_restrict, p=0.95))
