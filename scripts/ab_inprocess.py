@@ -9,14 +9,16 @@ Usage (stdlib and numpy only; each directory is a checkout holding
 
 Both ``src/`` trees are imported into this one process, each under its own
 set of ``decodekit*`` entries in ``sys.modules``, which are swapped in before
-each of that tree's rounds. A round runs ``harness.cmd_generate`` on every
-job of the workload (``bench/workloads.py``, read-only, each side in its own
-scratch directory) and records the round's CPU time
-(``time.process_time``). Round pairs alternate which side goes first. The
-output is the median of the per-pair ratios change / parent, their
-quartiles and IQR (``statistics.quantiles(n=4, method="inclusive")``), the
-pairs the change won (ratio below 1), and whether both sides wrote the same
-corpus and audit bytes.
+each of that tree's rounds. A round runs ``harness.cmd_generate`` and then
+``harness.cmd_metrics --config`` on every job of the workload
+(``bench/workloads.py``, read-only, each side in its own scratch directory),
+as a bench round does, and records the CPU time (``time.process_time``) of
+each command summed over the jobs. Round pairs alternate which side goes
+first. For each command the output is the median of the per-pair ratios
+change / parent, their quartiles and IQR (``statistics.quantiles(n=4,
+method="inclusive")``) and the pairs the change won (ratio below 1). It
+ends with whether both sides wrote the same corpus and audit bytes, and the
+same report bytes.
 
 This is a sizing tool: separate-process bench runs on a shared machine
 spread too widely to resolve effects of a few percent, while a paired ratio
@@ -36,6 +38,9 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# The commands a round times, with the label each one's figures print under.
+COMMANDS = {"generate": "cmd_generate", "metrics": "cmd_metrics --config"}
 
 
 def load_tree(checkout: str) -> dict:
@@ -80,18 +85,25 @@ class Side:
         os.makedirs(workdir)
         self.jobs = make_jobs(seed, workdir)
         self.outputs = set()
+        self.reports = set()
 
-    def round(self) -> float:
-        """CPU seconds of one ``cmd_generate`` over every job."""
+    def round(self) -> dict:
+        """CPU seconds of ``cmd_generate`` and of ``cmd_metrics --config``, each summed over every job."""
         drop_tree()
         sys.modules.update(self.modules)
         harness = self.modules["decodekit.harness"]
-        t0 = time.process_time()
+        seconds = dict.fromkeys(COMMANDS, 0.0)
         for job in self.jobs:
+            t0 = time.process_time()
             harness.cmd_generate(job.config_path, job.audit_path)
-        elapsed = time.process_time() - t0
+            t1 = time.process_time()
+            harness.cmd_metrics(job.corpus_path, out_path=job.report_path, config_path=job.config_path)
+            t2 = time.process_time()
+            seconds["generate"] += t1 - t0
+            seconds["metrics"] += t2 - t1
         self.outputs.add(digest(p for job in self.jobs for p in (job.corpus_path, job.audit_path)))
-        return elapsed
+        self.reports.add(digest(job.report_path for job in self.jobs))
+        return seconds
 
 
 def main(argv=None) -> int:
@@ -118,27 +130,30 @@ def main(argv=None) -> int:
         change = Side("change", args.change, make_jobs, args.seed, os.path.join(scratch, "change"))
         for side in (parent, change):
             side.round()  # warm-up: caches and first-call costs
-        ratios, times = [], {"parent": [], "change": []}
+        times = {command: {"parent": [], "change": []} for command in COMMANDS}
         for n in range(args.rounds):
             order = (parent, change) if n % 2 == 0 else (change, parent)
-            pair = {side.name: side.round() for side in order}
-            for name, seconds in pair.items():
-                times[name].append(seconds)
-            ratios.append(pair["change"] / pair["parent"])
+            for side in order:
+                for command, seconds in side.round().items():
+                    times[command][side.name].append(seconds)
     finally:
         drop_tree()
         shutil.rmtree(scratch, ignore_errors=True)
 
-    q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
-    won = sum(r < 1.0 for r in ratios)
-    same = parent.outputs == change.outputs and len(parent.outputs) == 1
-    print(f"workload {args.workload}, seed {args.seed}, {args.rounds} round pairs (CPU time of cmd_generate)")
-    for name, values in times.items():
-        print(f"  {name}: median {statistics.median(values) * 1e3:.1f} ms per round")
-    print(f"  ratio change/parent: median {statistics.median(ratios):.3f}, "
-          f"quartiles {q1:.3f}-{q3:.3f}, IQR {q3 - q1:.3f}")
-    print(f"  pairs won by the change: {won}/{len(ratios)}")
-    print(f"  corpus and audit bytes identical on both sides: {'yes' if same else 'no'}")
+    print(f"workload {args.workload}, seed {args.seed}, {args.rounds} round pairs (CPU time per round)")
+    for command, label in COMMANDS.items():
+        sides = times[command]
+        ratios = [c / p for c, p in zip(sides["change"], sides["parent"])]
+        q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+        print(f"{label}:")
+        for name, values in sides.items():
+            print(f"  {name}: median {statistics.median(values) * 1e3:.1f} ms per round")
+        print(f"  ratio change/parent: median {statistics.median(ratios):.3f}, "
+              f"quartiles {q1:.3f}-{q3:.3f}, IQR {q3 - q1:.3f}")
+        print(f"  pairs won by the change: {sum(r < 1.0 for r in ratios)}/{len(ratios)}")
+    for what, ours, theirs in (("corpus and audit", parent.outputs, change.outputs),
+                               ("report", parent.reports, change.reports)):
+        print(f"{what} bytes identical on both sides: {'yes' if ours == theirs and len(ours) == 1 else 'no'}")
     return 0
 
 

@@ -24,6 +24,7 @@ to ranking the whole support with a stable sort:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import Field, dataclass, field, fields
@@ -359,6 +360,106 @@ class Rng:
     def uniform(self) -> float:
         """One double in [0, 1); advances the stream by exactly one draw."""
         return float(self._gen.random())
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit LCG multiplier (O'Neill 2014, PCG_DEFAULT_MULTIPLIER_128).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+# Seeds that seeded_generators derives in one vectorised pass; its memory
+# grows with this, not with the number of seeds.
+SEED_CHUNK = 256
+
+
+def _hash_constants(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiplier of each of ``n`` successive hashmix calls on a hash constant starting at ``init``."""
+    xors, mults = [], []
+    for _ in range(n):
+        xors.append(init)
+        init = init * mult & 0xFFFFFFFF
+        mults.append(init)
+    return np.array(xors, dtype=np.uint32), np.array(mults, dtype=np.uint32)
+
+
+def _hashmix(value: np.ndarray, xor, mult) -> np.ndarray:
+    value = (value ^ xor) * mult  # uint32 arrays wrap, as SeedSequence's arithmetic does
+    return value ^ (value >> 16)
+
+
+def _pcg64_states(seeds) -> list[tuple[int, int]]:
+    """The (state, inc) that ``np.random.PCG64(seed)`` starts in, for each 64-bit seed.
+
+    numpy's seeding, vectorised over the seeds:
+
+    - ``SeedSequence(seed)`` hashes the seed's 32-bit words into a pool of
+      four and mixes every pool word into every other. A seed has at most
+      two words, and the pool pads with zero words, so a seed below 2**32,
+      one word, mixes exactly as the two words (seed, 0) do.
+    - ``generate_state(4, uint64)`` hashes the pool, cycled, out into eight
+      32-bit words: four uint64s, low word first.
+    - PCG64's ``srandom`` takes the first two uint64s as the high and low
+      halves of the initial state and the last two as those of the stream,
+      then makes two LCG steps from state 0.
+
+    The 128-bit steps run on Python ints, which the ``state`` setter takes.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    xor_a, mult_a = _hash_constants(_INIT_A, _MULT_A, 16)
+    entropy_words = np.zeros((seeds.size, 4), dtype=np.uint32)
+    entropy_words[:, 0] = seeds & 0xFFFFFFFF
+    entropy_words[:, 1] = seeds >> 32
+    pool = _hashmix(entropy_words, xor_a[:4], mult_a[:4])
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        k = 4 + 3 * src
+        mixed = _hashmix(pool[:, src, None], xor_a[k : k + 3], mult_a[k : k + 3])
+        mixed = pool[:, dst] * np.uint32(_MIX_MULT_L) - mixed * np.uint32(_MIX_MULT_R)
+        pool[:, dst] = mixed ^ (mixed >> 16)
+    words = _hashmix(pool[:, [0, 1, 2, 3, 0, 1, 2, 3]], *_hash_constants(_INIT_B, _MULT_B, 8)).astype(np.uint64)
+    states = []
+    for init_hi, init_lo, seq_hi, seq_lo in (words[:, 0::2] | words[:, 1::2] << 32).tolist():
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        states.append((((inc + (init_hi << 64 | init_lo)) * _PCG64_MULT + inc) & _MASK128, inc))
+    return states
+
+
+@functools.cache
+def _check_seeding() -> None:
+    """Raise RuntimeError unless ``_pcg64_states`` matches this numpy's PCG64 seeding; passes are cached."""
+    seed = 0x9E3779B97F4A7C15
+    state, inc = _pcg64_states([seed])[0]
+    if np.random.PCG64(seed).state["state"] != {"state": state, "inc": inc}:
+        raise RuntimeError(
+            f"numpy {np.__version__} seeds PCG64 differently from decodekit's restatement of its seeding; "
+            "scoring would not match generation"
+        )
+
+
+def seeded_generators(seeds):
+    """One ``np.random.Generator`` per 64-bit seed, in the state ``Generator(PCG64(seed))`` starts in.
+
+    The same generator is yielded every time, set through the public
+    ``BitGenerator.state`` setter, so use it before taking the next. The
+    states are derived ``SEED_CHUNK`` seeds at a time, and a seed costs
+    about a quarter of a ``PCG64(seed)``, most of it in the setter. That
+    pays only where many seeds are known before the first draw: scoring a
+    known sequence, not generation. The first call in a process checks the
+    derivation against ``PCG64`` itself.
+    """
+    _check_seeding()
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    inner = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
+    seeds = iter(seeds)
+    while chunk := list(itertools.islice(seeds, SEED_CHUNK)):
+        for inner["state"], inner["inc"] in _pcg64_states(chunk):  # the setter copies them
+            bitgen.state = state
+            yield gen
 
 
 def sample(dist: TokenDistribution, rng: Rng) -> int:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from decodekit.core import Vocabulary, utf8_error
+from decodekit.core import Vocabulary, seeded_generators, utf8_error
 
 
 # The widest row a file may declare; numpy cannot shape a dim near 2**63.
@@ -171,17 +171,15 @@ def pool_rows(mat: np.ndarray, pooling: str = "mean", decay: float = 0.8) -> np.
 def synthetic_table(vocab: Vocabulary, dim: int = 16, seed: int = 0) -> EmbeddingTable:
     """Deterministic hash-derived unit vectors, one per vocabulary token.
 
-    Each vector is seeded from blake2b(seed, token), so the table depends
-    only on (seed, token string) and is identical across platforms.
+    Each vector is drawn from ``PCG64(blake2b(seed, token))``, so the table
+    depends only on (seed, token string) and is identical across platforms.
+    The rows' generators come from ``seeded_generators``.
     """
     if dim < 1:
         raise ValueError(f"embedding dimension must be >= 1, got {dim}")
     matrix = np.empty((len(vocab), dim), dtype=np.float64)
-    for token, row in zip(vocab.tokens, matrix):
-        digest = hashlib.blake2b(
-            f"{seed}\x1f{token}".encode("utf-8"), digest_size=8
-        ).digest()
-        gen = np.random.Generator(np.random.PCG64(int.from_bytes(digest, "little")))
+    digests = (hashlib.blake2b(f"{seed}\x1f{token}".encode("utf-8"), digest_size=8).digest() for token in vocab.tokens)
+    for row, gen in zip(matrix, seeded_generators(int.from_bytes(d, "little") for d in digests)):
         vec = gen.standard_normal(dim)
         norm = np.linalg.norm(vec)
         while norm == 0.0:  # astronomically unlikely, but keep the unit-norm contract

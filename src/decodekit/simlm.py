@@ -19,11 +19,17 @@ Profile kinds:
   scores multiplied by ``loop_gamma`` (>= 1) before the softmax, biasing
   the source toward degenerate repetition loops.
 
-Generation and scoring share one kernel, ``_weights`` (``w = exp(z - max z)``),
-and divide by ``w.sum()``. Its one O(1) check, a finite ``max z``, is all the
-validation the output needs: every ``w`` then lies in [0, 1] with one entry
-exactly 1, so ``w / w.sum()`` is finite, nonnegative and sums to 1 within
-about V ulps. NaN, +inf and all -inf fail it, as they fail the checked
+Generation and scoring share one softmax kernel, ``_weights``
+(``w = exp(z - max z)`` of the drawn scores), and divide by ``w.sum()``. They
+differ only in how they seed the scores' PCG64 stream. Generation knows one
+context at a time and constructs ``PCG64(seed)`` per step. Scoring knows every
+context of the sequence before its first step, so ``core.seeded_generators``
+derives the same states a chunk at a time, at about a quarter of the cost.
+
+The kernel's one O(1) check, a finite ``max z``, is all the validation the
+output needs: every ``w`` then lies in [0, 1] with one entry exactly 1, so
+``w / w.sum()`` is finite, nonnegative and sums to 1 within about V ulps.
+NaN, +inf and all -inf fail it, as they fail the checked
 ``TokenDistribution`` constructor.
 
 ``drive``, the decode loop every model shares, keeps only the token history;
@@ -33,12 +39,23 @@ per-sequence state such as the ASTS context lives in the sampler.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from decodekit.core import DistributionError, Rng, TokenDistribution, Vocabulary, check_fields, entropy, leaf, sample
+from decodekit.core import (
+    DistributionError,
+    Rng,
+    TokenDistribution,
+    Vocabulary,
+    check_fields,
+    entropy,
+    leaf,
+    sample,
+    seeded_generators,
+)
 
 KINDS = ("peaked", "flat", "mixed", "loop_prone")
 
@@ -62,12 +79,17 @@ def _context_digest(profile: LmProfile, suffix: tuple[int, ...]) -> bytes:
     return hashlib.blake2b(payload, digest_size=16).digest()
 
 
-def _weights(profile: LmProfile, suffix: tuple[int, ...], size: int) -> np.ndarray:
-    """Unnormalised softmax weights ``exp(z - max z)`` of the step after ``suffix``."""
-    digest = _context_digest(profile, suffix)
-    gen = np.random.Generator(np.random.PCG64(int.from_bytes(digest[:8], "little")))
-    scores = gen.standard_normal(size)
+def _seed(digest: bytes) -> int:
+    """The PCG64 seed of a context: the digest's first 8 bytes, little-endian."""
+    return int.from_bytes(digest[:8], "little")
 
+
+def _weights(profile: LmProfile, digest: bytes, suffix: tuple[int, ...], scores: np.ndarray) -> np.ndarray:
+    """Unnormalised softmax weights ``exp(z - max z)`` of the step after ``suffix``, computed in ``scores``.
+
+    ``scores`` are the gaussian scores drawn from the PCG64 stream seeded by
+    ``_seed(digest)``, one per vocabulary token.
+    """
     temperature = profile.base_temperature
     if profile.kind == "mixed":
         temperature *= _MIXED_FACTORS[digest[8] % len(_MIXED_FACTORS)]
@@ -103,7 +125,10 @@ def _shifted_exp(scores: np.ndarray, temperature: float, top: float) -> np.ndarr
 
 def next_distribution(profile: LmProfile, history, vocab: Vocabulary) -> TokenDistribution:
     """Next-token distribution after ``history``, a sliceable sequence of token ids."""
-    w = _weights(profile, tuple(history[-profile.recency_window :]), len(vocab))
+    suffix = tuple(history[-profile.recency_window :])
+    digest = _context_digest(profile, suffix)
+    gen = np.random.Generator(np.random.PCG64(_seed(digest)))
+    w = _weights(profile, digest, suffix, gen.standard_normal(len(vocab)))
     w /= w.sum()
     return TokenDistribution._checked_by_caller(vocab, w)
 
@@ -111,9 +136,14 @@ def next_distribution(profile: LmProfile, history, vocab: Vocabulary) -> TokenDi
 def token_probabilities(profile: LmProfile, seq, size: int) -> list[float]:
     """``next_distribution(profile, seq[:i], vocab).prob(seq[i])`` for every i, bit for bit."""
     seq, r = tuple(seq), profile.recency_window
+    suffixes = (seq[max(0, i - r) : i] for i in range(len(seq)))
+    # Every context is known up front, so every seed is: seeded_generators
+    # derives them a chunk ahead, and tee holds at most that chunk.
+    contexts, ahead = itertools.tee((s, _context_digest(profile, s)) for s in suffixes)
+    gens = seeded_generators(_seed(digest) for _, digest in ahead)
     out = []
-    for i, t in enumerate(seq):
-        w = _weights(profile, seq[max(0, i - r) : i], size)
+    for t, (suffix, digest), gen in zip(seq, contexts, gens):
+        w = _weights(profile, digest, suffix, gen.standard_normal(size))
         out.append(float(w[t] / w.sum()))
     return out
 

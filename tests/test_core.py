@@ -1,16 +1,19 @@
 """Core distribution primitives: entropy, surprisal, normalize, temperature, sampling."""
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SEVEN_ENTROPY, SEVEN_PROBS, SEVEN_TOKENS
+from decodekit import core
 from decodekit.core import (
     MIN_TEMPERATURE,
+    SEED_CHUNK,
     DistributionError,
     Rng,
     TokenDistribution,
@@ -19,6 +22,7 @@ from decodekit.core import (
     entropy,
     normalize,
     sample,
+    seeded_generators,
     surprisal,
     temperature_scale,
     tempered_weights,
@@ -331,6 +335,45 @@ class TestRng:
     def test_different_seeds_differ(self):
         a, b = Rng(7), Rng(8)
         assert [a.uniform() for _ in range(20)] != [b.uniform() for _ in range(20)]
+
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+class TestSeededGenerators:
+    """``seeded_generators`` against ``np.random.PCG64(seed)``, the constructor it restates."""
+
+    @staticmethod
+    def states(seeds):
+        return [gen.bit_generator.state for gen in seeded_generators(seeds)]
+
+    def test_edge_seeds_start_where_pcg64_does(self):
+        assert self.states(EDGE_SEEDS) == [np.random.PCG64(s).state for s in EDGE_SEEDS]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), max_size=20))
+    def test_drawn_seeds_start_where_pcg64_does(self, seeds):
+        assert self.states(seeds) == [np.random.PCG64(s).state for s in seeds]
+
+    def test_states_hold_across_chunks(self):
+        seeds = [int(s) for s in np.random.default_rng(3).integers(0, 2**64 - 1, 2 * SEED_CHUNK + 3, dtype=np.uint64)]
+        assert self.states(seeds) == [np.random.PCG64(s).state for s in seeds]
+
+    def test_first_draws_match_a_fresh_generator(self):
+        for seed, gen in zip(EDGE_SEEDS, seeded_generators(EDGE_SEEDS)):
+            want = np.random.Generator(np.random.PCG64(seed)).standard_normal(7)
+            assert gen.standard_normal(7).tobytes() == want.tobytes()
+
+    def test_yields_one_generator_per_seed(self):
+        gens = list(seeded_generators(range(5)))
+        assert len(gens) == 5 and all(g is gens[0] for g in gens)
+        assert list(seeded_generators([])) == []
+
+    def test_a_wrong_restatement_fails_its_first_call(self, monkeypatch):
+        monkeypatch.setattr(core, "_MIX_MULT_L", core._MIX_MULT_L ^ 1)
+        core._check_seeding.cache_clear()
+        with pytest.raises(RuntimeError, match=re.escape(f"numpy {np.__version__} ")):
+            next(seeded_generators([1]))
 
 
 class TestSample:

@@ -1,5 +1,6 @@
 """Embedding tables: file format, cosine alignment, context pooling."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from decodekit.core import Vocabulary
+from decodekit.core import SEED_CHUNK, Vocabulary, default_vocabulary
 from decodekit.embed import (
     EmbeddingFormatError,
     EmbeddingTable,
@@ -236,7 +237,23 @@ class TestContextEmbedding:
         assert out == pytest.approx(base, abs=1e-12)
 
 
+def oracle_synthetic_matrix(vocab, dim, seed):
+    """The table as built before batch seeding: one ``PCG64`` per token."""
+    rows = []
+    for token in vocab.tokens:
+        digest = hashlib.blake2b(f"{seed}\x1f{token}".encode("utf-8"), digest_size=8).digest()
+        vec = np.random.Generator(np.random.PCG64(int.from_bytes(digest, "little"))).standard_normal(dim)
+        rows.append(vec / np.linalg.norm(vec))
+    return np.array(rows)
+
+
 class TestSyntheticTable:
+    @pytest.mark.parametrize("size", [1, SEED_CHUNK, SEED_CHUNK + 1, 2 * SEED_CHUNK + 7])
+    def test_equals_one_pcg64_per_token(self, size):
+        vocab = default_vocabulary(size)
+        table = synthetic_table(vocab, dim=5, seed=11)
+        assert table.matrix.tobytes() == oracle_synthetic_matrix(vocab, 5, 11).tobytes()
+
     def test_unit_norm_and_coverage(self):
         vocab = Vocabulary.from_tokens(("x", "y", "z"))
         table = synthetic_table(vocab, dim=16, seed=0)

@@ -11,13 +11,14 @@ and every model's ``score`` must give the same bytes.
 import functools
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decodekit.core import DistributionError, TokenDistribution, default_vocabulary
+from decodekit.core import SEED_CHUNK, DistributionError, TokenDistribution, default_vocabulary
 from decodekit.harness import ReplayModel, SyntheticModel
 from decodekit.simlm import KINDS, LmProfile, next_distribution, token_probabilities
 
@@ -98,6 +99,37 @@ def test_token_probabilities_equal_per_step_distributions(case):
     got = token_probabilities(profile, seq, size)
     assert all(type(p) is float for p in got)
     assert np.array(got).tobytes() == np.array(want, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("length", [0, 1, SEED_CHUNK - 1, SEED_CHUNK, SEED_CHUNK + 1, 601])
+def test_token_probabilities_across_seed_chunks(kind, length):
+    # The hypothesis cases stop at 30 tokens, inside the first chunk of seeds.
+    profile = LmProfile(kind=kind, base_temperature=0.7, loop_gamma=3.0, recency_window=3, seed=2**64 - 5)
+    vocab = _vocabulary(48)
+    seq = np.random.default_rng(length).integers(0, 6, length).tolist()
+    want = [next_distribution(profile, seq[:i], vocab).prob(t) for i, t in enumerate(seq)]
+    assert np.array(token_probabilities(profile, seq, 48)).tobytes() == np.array(want, dtype=np.float64).tobytes()
+
+
+def test_token_probabilities_memory_does_not_grow_with_length():
+    """Scoring holds one chunk of seeds at a time: its peak beyond the returned list is the same at 2,000 and 40,000."""
+    profile = LmProfile(kind="loop_prone", loop_gamma=2.0)
+    token_probabilities(profile, (1, 2), 64)  # first-call costs (the seeding check) outside the measurement
+
+    def transient(n):
+        seq = tuple(np.random.default_rng(n).integers(0, 64, n).tolist())
+        tracemalloc.start()
+        try:
+            out = token_probabilities(profile, seq, 64)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(out) == n
+        return peak - current
+
+    short, long = transient(2_000), transient(40_000)
+    assert long < short + 16_384, (short, long)
 
 
 @settings(max_examples=100, deadline=None)
