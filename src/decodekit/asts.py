@@ -58,31 +58,6 @@ class ProviderError(RuntimeError):
     """A score provider failed or produced an unusable value."""
 
 
-@dataclass
-class GenerationContext:
-    """Mutable per-sequence state: history, token counts, entropy window."""
-
-    window_w: int = 8
-    history: list[int] = field(default_factory=list)
-    freq: Counter = field(default_factory=Counter)
-    entropy_window: deque = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.entropy_window = deque(maxlen=self.window_w)
-        if self.history and not self.freq:
-            self.freq = Counter(self.history)
-
-    def append(self, token_id: int) -> None:
-        self.history.append(int(token_id))
-        self.freq[int(token_id)] += 1
-
-    def push_entropy(self, h: float) -> None:
-        self.entropy_window.append(float(h))
-
-    def __len__(self) -> int:
-        return len(self.history)
-
-
 @dataclass(frozen=True)
 class AstsConfig:
     k1: float = leaf(0.3, lo=0.0)
@@ -102,6 +77,31 @@ class AstsConfig:
 
     def __post_init__(self) -> None:
         check_fields(self, "asts")
+
+
+@dataclass
+class GenerationContext:
+    """Mutable per-sequence state: history, token counts, entropy window."""
+
+    window_w: int = AstsConfig.window_w
+    history: list[int] = field(default_factory=list)
+    freq: Counter = field(default_factory=Counter)
+    entropy_window: deque = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.entropy_window = deque(maxlen=self.window_w)
+        if self.history and not self.freq:
+            self.freq = Counter(self.history)
+
+    def append(self, token_id: int) -> None:
+        self.history.append(int(token_id))
+        self.freq[int(token_id)] += 1
+
+    def push_entropy(self, h: float) -> None:
+        self.entropy_window.append(float(h))
+
+    def __len__(self) -> int:
+        return len(self.history)
 
 
 @dataclass(frozen=True)

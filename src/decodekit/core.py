@@ -37,8 +37,9 @@ ENTROPY_FLOOR = 1e-12
 # A distribution must sum to 1 within this tolerance to be accepted.
 SUM_TOLERANCE = 1e-9
 
-# Every positive double q has |ln q| <= 745, so at T >= this bound ln(q) / T
-# stays finite and so does every tempered weight.
+# The floor of every temperature in the package. Every positive double q has
+# |ln q| <= 745, so at T >= this bound ln(q) / T stays finite and so does
+# every tempered weight.
 MIN_TEMPERATURE = 1e-300
 
 
@@ -260,20 +261,29 @@ def scattered(vocab: Vocabulary, ids: np.ndarray, w: np.ndarray) -> TokenDistrib
     return TokenDistribution._checked_by_caller(vocab, dense)
 
 
-def tempered_weights(q: np.ndarray, temperature: float) -> np.ndarray:
-    """Unnormalised ``q ** (1/T)``: ``exp(log q / T - max)``, 0 where ``q`` is 0.
+def tempered_exp(z: np.ndarray, temperature: float) -> np.ndarray:
+    """Unnormalised softmax weights ``exp(z / T - max(z / T))``, computed in place in ``z``.
 
-    Computed in log space so extreme temperatures neither underflow nor
-    overflow the largest weight, which is exactly 1.
+    The package's one tempered softmax: the largest weight is exactly 1 and
+    a ``z`` of -inf weighs 0. Callers keep each finite ``|z / T|`` below
+    9e307 (``|z| <= 745`` and ``T >= MIN_TEMPERATURE / 4``), so neither a
+    quotient nor a difference of two overflows.
     """
-    with np.errstate(divide="ignore"):
-        scaled = np.log(q)  # -inf where q is 0, and exp(-inf - top) is 0
-    scaled /= temperature
-    top = scaled.max()
+    # max(z / T) is max(z) / T bit for bit (T > 0, division correctly rounded);
+    # taking it before the divide measured about 1% faster at V = 4096.
+    top = float(z.max()) / temperature
     if top == -math.inf:
         raise DistributionError("temperature_scale: support carries no probability mass")
-    scaled -= top
-    return np.exp(scaled, out=scaled)
+    z /= temperature
+    z -= top
+    return np.exp(z, out=z)
+
+
+def tempered_weights(q: np.ndarray, temperature: float) -> np.ndarray:
+    """Unnormalised ``q ** (1/T)``: ``tempered_exp(log q, T)``, 0 where ``q`` is 0."""
+    with np.errstate(divide="ignore"):
+        scaled = np.log(q)  # -inf where q is 0, and exp(-inf - top) is 0
+    return tempered_exp(scaled, temperature)
 
 
 def normalize(vocab: Vocabulary, weights, support=None) -> TokenDistribution:

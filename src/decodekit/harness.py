@@ -179,13 +179,21 @@ def _merge(schema: dict, given: dict, prefix: str) -> dict:
     return out
 
 
+def _finite_number(value) -> bool:
+    """Whether ``value`` is a finite float or an int a float holds: what a float leaf and a replay entry must be.
+
+    type() rejects bool, strings and lists, and abs() <= max rejects NaN,
+    inf and ints too large for a float.
+    """
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
 def _check_leaf(path: str, spec, value):
     kind = spec.metadata["kind"]
     if value is None:
         ok = spec.default is None
     elif kind is float:
-        # abs() <= max is false for NaN, inf and ints too large for a float.
-        ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
+        ok = _finite_number(value)
     elif kind is list:
         ok = type(value) is list and all(type(v) is str for v in value)
     else:
@@ -282,23 +290,17 @@ def _overflowing_field(cfg: dict) -> str:
 
 
 class SyntheticModel:
-    """A synthetic profile; scores that overflow are a ConfigError on ``base_temperature``."""
+    """A synthetic profile; the ``base_temperature`` floor keeps every step finite, so nothing is checked."""
 
     def __init__(self, profile: LmProfile, vocab: Vocabulary):
         self.profile = profile
         self.vocab = vocab
 
     def next(self, history, step: int):
-        try:
-            return next_distribution(self.profile, history, self.vocab)
-        except DistributionError as exc:
-            raise ConfigError(f"model.synthetic.base_temperature: {exc}") from None
+        return next_distribution(self.profile, history, self.vocab)
 
     def score(self, seq) -> list[float]:
-        try:
-            return token_probabilities(self.profile, seq, len(self.vocab))
-        except DistributionError as exc:
-            raise ConfigError(f"model.synthetic.base_temperature: {exc}") from None
+        return token_probabilities(self.profile, seq, len(self.vocab))
 
 
 class ReplayModel:
@@ -346,9 +348,7 @@ def _load_replay_model(path: str) -> ReplayModel:
     for i, row in enumerate(steps):
         if not isinstance(row, list) or len(row) != len(tokens):
             raise DataError(f"{path}: step {i}: expected {len(tokens)} probabilities")
-        # As for a float config leaf: type() rejects bool, strings and lists,
-        # and abs() <= max rejects NaN, inf and ints too large for a float.
-        if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in row):
+        if not all(map(_finite_number, row)):
             raise DataError(f"{path}: step {i}: probabilities must be finite numbers")
         arr = np.asarray(row, dtype=np.float64)
         with np.errstate(over="ignore"):  # a total that overflows is rejected below
@@ -489,8 +489,6 @@ def run_sequence(cfg: dict, index: int, inputs: RunInputs | None = None, write_a
                 prompt=inputs.prompts[index % len(inputs.prompts)],
                 on_step=on_step,
             )
-    except (ConfigError, DataError):
-        raise
     except _OVERFLOW_ERRORS.get(cfg["sampler"], ()) as exc:
         raise ConfigError(f"{_overflowing_field(cfg)}: {exc}") from None
     return {

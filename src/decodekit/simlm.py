@@ -19,18 +19,24 @@ Profile kinds:
   scores multiplied by ``loop_gamma`` (>= 1) before the softmax, biasing
   the source toward degenerate repetition loops.
 
-Generation and scoring share one softmax kernel, ``_weights``
-(``w = exp(z - max z)`` of the drawn scores), and divide by ``w.sum()``. They
-differ only in how they seed the scores' PCG64 stream. Generation knows one
-context at a time and constructs ``PCG64(seed)`` per step. Scoring knows every
-context of the sequence before its first step, so ``core.seeded_generators``
-derives the same states a chunk at a time, at about a quarter of the cost.
+Generation and scoring share one step, ``_weights``, which ends in
+``core.tempered_exp`` (``w = exp(z / t - max(z / t))`` of the drawn scores),
+and divide by ``w.sum()``. They differ only in how they seed the scores'
+PCG64 stream. Generation knows one context at a time and constructs
+``PCG64(seed)`` per step. Scoring knows every context of the sequence before
+its first step, so ``core.seeded_generators`` derives the same states a
+chunk at a time, at about a quarter of the cost.
 
-The kernel's one O(1) check, a finite ``max z``, is all the validation the
-output needs: every ``w`` then lies in [0, 1] with one entry exactly 1, so
-``w / w.sum()`` is finite, nonnegative and sums to 1 within about V ulps.
-NaN, +inf and all -inf fail it, as they fail the checked
-``TokenDistribution`` constructor.
+The output needs no check of its own, because ``LmProfile`` bounds
+``base_temperature`` below by ``core.MIN_TEMPERATURE`` (1e-300):
+
+* every step's t is at least 2.5e-301 (the 0.25 factor of ``mixed``);
+* every |z| is at most 724, since numpy's standard normal draws stay below
+  14 and ln(``loop_gamma``) is at most 710;
+* so every z / t, and every difference of two, is below 6e303 and finite.
+
+Every ``w`` then lies in [0, 1] with one entry exactly 1, so ``w / w.sum()``
+is finite, nonnegative and sums to 1 within about V ulps.
 
 ``drive``, the decode loop every model shares, keeps only the token history;
 per-sequence state such as the ASTS context lives in the sampler.
@@ -46,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from decodekit.core import (
-    DistributionError,
+    MIN_TEMPERATURE,
     Rng,
     TokenDistribution,
     Vocabulary,
@@ -55,6 +61,7 @@ from decodekit.core import (
     leaf,
     sample,
     seeded_generators,
+    tempered_exp,
 )
 
 KINDS = ("peaked", "flat", "mixed", "loop_prone")
@@ -65,7 +72,7 @@ _MIXED_FACTORS = (0.25, 1.0, 4.0)
 @dataclass(frozen=True)
 class LmProfile:
     kind: str = leaf("mixed", choices=KINDS)
-    base_temperature: float = leaf(1.0, above=0.0)
+    base_temperature: float = leaf(1.0, lo=MIN_TEMPERATURE)
     loop_gamma: float = leaf(1.0, lo=1.0)
     recency_window: int = leaf(4, lo=1)
     seed: int = leaf(0, lo=0, hi=2**64 - 1)
@@ -85,10 +92,10 @@ def _seed(digest: bytes) -> int:
 
 
 def _weights(profile: LmProfile, digest: bytes, suffix: tuple[int, ...], scores: np.ndarray) -> np.ndarray:
-    """Unnormalised softmax weights ``exp(z - max z)`` of the step after ``suffix``, computed in ``scores``.
+    """Unnormalised softmax weights ``exp(z / t - max(z / t))`` of the step after ``suffix``, computed in ``scores``.
 
     ``scores`` are the gaussian scores drawn from the PCG64 stream seeded by
-    ``_seed(digest)``, one per vocabulary token.
+    ``_seed(digest)``, one per vocabulary token; ``core.tempered_exp`` does the rest.
     """
     temperature = profile.base_temperature
     if profile.kind == "mixed":
@@ -97,30 +104,7 @@ def _weights(profile: LmProfile, digest: bytes, suffix: tuple[int, ...], scores:
         # Recency boost: multiplying a (positive) exp-score by gamma is the
         # same as adding ln(gamma) to the raw score.
         scores[list(set(suffix))] += math.log(profile.loop_gamma)
-
-    # max(scores / t) is max(scores) / t bit for bit, since t > 0; taking it
-    # as a Python float first rejects an overflow before numpy divides (and
-    # warns). A subnormal base_temperature times 0.25 can round to t = 0.
-    top = float(scores.max()) / temperature if temperature else math.inf
-    if not math.isfinite(top):
-        raise DistributionError(f"scores overflow at base_temperature {profile.base_temperature!r}")
-    # The lowest score can still overflow to -inf (a weight of 0) in the
-    # divide or the subtract, and numpy would warn. Above t = 1e-300 that
-    # takes a score beyond 8e7 in magnitude, while standard normal draws
-    # (numpy's stay below 14) plus log(loop_gamma) <= 710 never get there.
-    # Below it, Python floats overflow without a warning, so the lowest
-    # score tells exactly when to silence numpy.
-    if temperature >= 1e-300 or math.isfinite(float(scores.min()) / temperature - top):
-        return _shifted_exp(scores, temperature, top)
-    with np.errstate(over="ignore"):
-        return _shifted_exp(scores, temperature, top)
-
-
-def _shifted_exp(scores: np.ndarray, temperature: float, top: float) -> np.ndarray:
-    """``np.exp(scores / temperature - top)``, computed in place in ``scores``."""
-    scores /= temperature
-    scores -= top
-    return np.exp(scores, out=scores)
+    return tempered_exp(scores, temperature)
 
 
 def next_distribution(profile: LmProfile, history, vocab: Vocabulary) -> TokenDistribution:

@@ -35,7 +35,7 @@ def run_config(tmp_path):
 
 
 def tiny_temperature_config(tmp_path, workers=1, synthetic=None):
-    """A peaked model whose scores overflow: base_temperature far below any score scale."""
+    """A peaked model whose base_temperature lies below the 1e-300 floor, where its scores would overflow."""
     synthetic = {"vocab_size": 16, "base_temperature": 1e-310, **(synthetic or {})}
     return write_json(
         tmp_path / "tiny.json",
@@ -346,14 +346,15 @@ def test_sigterm_discards_the_outputs(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["audit.fifo", "run.json"]
 
 
-# model.synthetic entries: the top score overflows at the first step; or the
-# lowest score overflows (a harmless weight of 0) in steps before the top does.
+# model.synthetic entries below the base_temperature floor. Without it the
+# first would overflow the top score at the first step, and the second the
+# lowest score (a harmless weight of 0) in steps before the top.
 @pytest.mark.parametrize(
     "synthetic", [{"base_temperature": 1e-310}, {"seed": 1, "base_temperature": 1e-308}], ids=["top", "low"]
 )
 @pytest.mark.parametrize("command", ["generate", "metrics"])
 def test_overflowing_base_temperature_prints_no_warning(tmp_path, command, synthetic):
-    """The config error is the only line on stderr: numpy never warns of an overflow."""
+    """The config error is the only line on stderr: the run stops at load, before any step."""
     cfg = tiny_temperature_config(tmp_path, synthetic=synthetic)
     args = ["generate", "--config", cfg]
     if command == "metrics":

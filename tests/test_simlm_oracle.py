@@ -11,14 +11,16 @@ and every model's ``score`` must give the same bytes.
 import functools
 import hashlib
 import math
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decodekit.core import SEED_CHUNK, DistributionError, TokenDistribution, default_vocabulary
+from decodekit.core import MIN_TEMPERATURE, SEED_CHUNK, TokenDistribution, default_vocabulary
 from decodekit.harness import ReplayModel, SyntheticModel
 from decodekit.simlm import KINDS, LmProfile, next_distribution, token_probabilities
 
@@ -153,16 +155,23 @@ def test_replay_model_score_equals_oracle_scorer(size, n_rows, row_seed, data):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("base_temperature", [1e-310, 5e-324])
 @pytest.mark.parametrize("history", [[1, 2], [7]])
-def test_overflowing_scores_fail_like_the_checked_constructor(kind, base_temperature, history):
-    # For "mixed", history [7] draws the 0.25 factor, so 5e-324 scales to 0.
-    profile = LmProfile(kind=kind, base_temperature=base_temperature, loop_gamma=2.0)
+def test_lowest_base_temperature_equals_oracle_without_warning(kind, history):
+    """At the floor, with the largest boost, every score divided by t and every difference of two stays finite."""
+    # For "mixed", history [7] draws the 0.25 factor: t = 2.5e-301.
+    profile = LmProfile(kind=kind, base_temperature=MIN_TEMPERATURE, loop_gamma=sys.float_info.max)
     vocab = _vocabulary(16)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        with pytest.raises(DistributionError):
-            oracle_next_distribution(profile, history, vocab)
-        with pytest.raises(DistributionError, match="base_temperature"):
-            next_distribution(profile, history, vocab)
-        with pytest.raises(DistributionError, match="base_temperature"):
-            token_probabilities(profile, [*history, 3], 16)
+    seq = [*history, 3]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = [oracle_next_distribution(profile, seq[:i], vocab).probs for i in range(len(seq))]
+        for i, probs in enumerate(want):
+            assert next_distribution(profile, seq[:i], vocab).probs.tobytes() == probs.tobytes()
+        got = token_probabilities(profile, seq, 16)
+    assert np.array(got).tobytes() == np.array([probs[t] for probs, t in zip(want, seq)]).tobytes()
+
+
+@pytest.mark.parametrize("base_temperature", [1e-310, 5e-324, math.nextafter(MIN_TEMPERATURE, 0)])
+def test_base_temperature_below_the_floor_is_rejected(base_temperature):
+    with pytest.raises(ValueError, match="base_temperature: must be >= 1e-300"):
+        LmProfile(base_temperature=base_temperature)
