@@ -155,11 +155,12 @@ def test_replay_model_score_equals_oracle_scorer(size, n_rows, row_seed, data):
 
 
 @pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("base_temperature", [MIN_TEMPERATURE, math.nextafter(MIN_TEMPERATURE, math.inf)])
 @pytest.mark.parametrize("history", [[1, 2], [7]])
-def test_lowest_base_temperature_equals_oracle_without_warning(kind, history):
-    """At the floor, with the largest boost, every score divided by t and every difference of two stays finite."""
-    # For "mixed", history [7] draws the 0.25 factor: t = 2.5e-301.
-    profile = LmProfile(kind=kind, base_temperature=MIN_TEMPERATURE, loop_gamma=sys.float_info.max)
+def test_lowest_base_temperature_equals_oracle_without_warning(kind, base_temperature, history):
+    """At the floor and the next float above it, with the largest boost, every score divided by t and every difference of two stays finite."""
+    # For "mixed", history [7] draws the 0.25 factor: t = 2.5e-301 at the floor.
+    profile = LmProfile(kind=kind, base_temperature=base_temperature, loop_gamma=sys.float_info.max)
     vocab = _vocabulary(16)
     seq = [*history, 3]
     with warnings.catch_warnings():
@@ -171,7 +172,7 @@ def test_lowest_base_temperature_equals_oracle_without_warning(kind, history):
     assert np.array(got).tobytes() == np.array([probs[t] for probs, t in zip(want, seq)]).tobytes()
 
 
-@pytest.mark.parametrize("base_temperature", [1e-310, 5e-324, math.nextafter(MIN_TEMPERATURE, 0)])
+@pytest.mark.parametrize("base_temperature", [0.0, 1e-310, 5e-324, math.nextafter(MIN_TEMPERATURE, 0)])
 def test_base_temperature_below_the_floor_is_rejected(base_temperature):
     with pytest.raises(ValueError, match="base_temperature: must be >= 1e-300"):
         LmProfile(base_temperature=base_temperature)
