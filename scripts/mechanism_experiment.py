@@ -8,8 +8,16 @@ main width/mass hyperparameter of ASTS (k1 = k2) and LTS (tau_mass) over
 the same grid and reports the spread of mean rep32 across the grid as a
 sensitivity comparison.
 
+With ``--pairs N`` (N > 1) the two arms also run at N (decode seed, model
+seed) pairs, the i-th being (decode seed + i * sequences, model seed + i), so
+no two pairs share a sequence's random stream, as sweep replications do not.
+The paired mean rep32 difference (ablation - penalty) is reported with a 95%
+percentile bootstrap interval: resample the N differences with replacement,
+drawn from one PCG64 seeded with ``BOOTSTRAP_SEED``.
+
 The arm configs are written next to the results so a run is fully
-reproducible from its output directory alone.
+reproducible from its output directory alone; pair i > 0 writes its own
+under ``pair<i>/``.
 """
 
 import argparse
@@ -17,19 +25,23 @@ import json
 import statistics
 from pathlib import Path
 
+import numpy as np
+
 from decodekit.harness import cmd_sweep, load_config, run_generation
 from decodekit.metrics import rep_l
 
 TAU_GRID = [round(0.1 * i, 1) for i in range(1, 11)]
+BOOTSTRAP_RESAMPLES = 10_000
+BOOTSTRAP_SEED = 0
 
 
-def build_configs(args, out: Path) -> dict[str, Path]:
+def build_configs(args, out: Path, seed: int, model_seed: int) -> dict[str, Path]:
     model = {
         "selector": "synthetic:loop_prone",
         "synthetic": {
             "vocab_size": 256,
             "loop_gamma": 3.0,
-            "seed": args.model_seed,
+            "seed": model_seed,
             "base_temperature": 0.3,
             "recency_window": 16,
         },
@@ -43,7 +55,7 @@ def build_configs(args, out: Path) -> dict[str, Path]:
         "temperature": 0.1,
     }
     base = {
-        "seed": args.seed,
+        "seed": seed,
         "max_tokens": args.tokens,
         "num_sequences": args.sequences,
         "model": model,
@@ -67,6 +79,14 @@ def mean_rep32(config_path: Path) -> float:
     return statistics.mean(rep_l(r["token_ids"], 32) for r in records)
 
 
+def bootstrap_interval(diffs: list[float], resamples: int, seed: int) -> tuple[float, float]:
+    """The 2.5th and 97.5th percentiles of the mean of ``diffs`` resampled with replacement."""
+    gen = np.random.Generator(np.random.PCG64(seed))
+    means = np.asarray(diffs)[gen.integers(0, len(diffs), (resamples, len(diffs)))].mean(axis=1)
+    lo, hi = np.percentile(means, [2.5, 97.5])
+    return float(lo), float(hi)
+
+
 def sweep_spread(csv_path: Path) -> float:
     rows = csv_path.read_text(encoding="utf-8").splitlines()[1:]
     return statistics.pstdev(float(line.split(",")[1]) for line in rows)
@@ -80,11 +100,15 @@ def main() -> int:
     parser.add_argument("--sequences", type=int, default=50)
     parser.add_argument("--tokens", type=int, default=200)
     parser.add_argument("--reps", type=int, default=3, help="replications per sweep value")
+    parser.add_argument("--pairs", type=int, default=1,
+                        help="(model seed, decode seed) pairs for the paired difference (default 1: none)")
     args = parser.parse_args()
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    paths = build_configs(args, out)
+    paths = build_configs(args, out, args.seed, args.model_seed)
 
     print(f"loop_prone gamma=3, vocab 256, {args.sequences} x {args.tokens} tokens, "
           f"seeds {args.seed}/{args.model_seed}")
@@ -94,6 +118,20 @@ def main() -> int:
     print(f"mean rep32  mu3=0.0: {without:.4f}")
     print(f"margin (ablation - penalty): {without - with_penalty:+.4f}"
           + ("" if with_penalty < without else "  [penalty arm NOT lower]"))
+    if args.pairs > 1:
+        seeds = [(args.seed + i * args.sequences, args.model_seed + i) for i in range(args.pairs)]
+        diffs = [without - with_penalty]
+        for i, (seed, model_seed) in enumerate(seeds[1:], start=1):
+            pair_out = out / f"pair{i}"
+            pair_out.mkdir(exist_ok=True)
+            pair = build_configs(args, pair_out, seed, model_seed)
+            diffs.append(mean_rep32(pair["ablation"]) - mean_rep32(pair["penalty"]))
+        for i, ((seed, model_seed), diff) in enumerate(zip(seeds, diffs)):
+            print(f"  pair {i} (seeds {seed}/{model_seed}): ablation - penalty {diff:+.4f}")
+        lo, hi = bootstrap_interval(diffs, BOOTSTRAP_RESAMPLES, BOOTSTRAP_SEED)
+        print(f"paired mean rep32 difference (ablation - penalty) over {args.pairs} pairs: "
+              f"{statistics.mean(diffs):+.4f}, 95% bootstrap interval [{lo:+.4f}, {hi:+.4f}] "
+              f"({BOOTSTRAP_RESAMPLES} resamples, PCG64 seed {BOOTSTRAP_SEED})")
 
     asts_csv = out / "asts_sweep.csv"
     lts_csv = out / "lts_sweep.csv"

@@ -261,18 +261,27 @@ def scattered(vocab: Vocabulary, ids: np.ndarray, w: np.ndarray) -> TokenDistrib
     return TokenDistribution._checked_by_caller(vocab, dense)
 
 
-def tempered_exp(z: np.ndarray, temperature: float) -> np.ndarray:
+def tempered_exp(z: np.ndarray, temperature) -> np.ndarray:
     """Unnormalised softmax weights ``exp(z / T - max(z / T))``, computed in place in ``z``.
 
     The package's one tempered softmax: the largest weight is exactly 1 and
-    a ``z`` of -inf weighs 0. Callers keep each finite ``|z / T|`` below
-    9e307 (``|z| <= 745`` and ``T >= MIN_TEMPERATURE / 4``), so neither a
-    quotient nor a difference of two overflows.
+    a ``z`` of -inf weighs 0. ``z`` is one row of scores with a float ``T``,
+    or a matrix of rows with an array ``T`` of one temperature per row, and
+    each row's weights are the bytes the row alone would give. Callers keep
+    each finite ``|z / T|`` below 9e307 (``|z| <= 745`` and
+    ``T >= MIN_TEMPERATURE / 4``), so neither a quotient nor a difference of
+    two overflows.
     """
     # max(z / T) is max(z) / T bit for bit (T > 0, division correctly rounded);
     # taking it before the divide measured about 1% faster at V = 4096.
-    top = float(z.max()) / temperature
-    if top == -math.inf:
+    if z.ndim == 1:  # one row: the axis-keeping calls below would cost it about 3 us
+        top = float(z.max()) / temperature
+        massless = top == -math.inf
+    else:
+        temperature = temperature[:, None]
+        top = z.max(axis=1, keepdims=True) / temperature
+        massless = float(top.min()) == -math.inf
+    if massless:
         raise DistributionError("temperature_scale: support carries no probability mass")
     z /= temperature
     z -= top

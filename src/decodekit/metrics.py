@@ -86,10 +86,15 @@ def rep_l(seq, l: int) -> float:
     seq = list(seq)
     if len(seq) < 2:
         raise ValueError(f"sequence too short for rep_l: length {len(seq)} < 2")
+    # One pass: a token occurs in the window iff its last position does; a
+    # token not seen yet gets a last position that no window reaches.
+    last: dict = {}
+    unseen = -l - 1
     repeats = 0
-    for t in range(1, len(seq)):
-        if seq[t] in seq[max(0, t - l) : t]:
+    for t, token in enumerate(seq):
+        if t - last.get(token, unseen) <= l:
             repeats += 1
+        last[token] = t
     return repeats / (len(seq) - 1)
 
 

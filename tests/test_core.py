@@ -263,6 +263,27 @@ class TestTemperedWeights:
             assert w[0] == 0.0
 
 
+class TestTemperedExp:
+    @given(st.integers(1, 6), st.integers(1, 40), st.data())
+    def test_matrix_rows_equal_one_row_calls(self, n_rows, size, data):
+        """A matrix with one temperature per row gives each row's 1-D bytes; a row whose max is -inf raises."""
+        score = st.one_of(st.floats(-745.0, 745.0), st.just(-math.inf))
+        rows = st.lists(st.lists(score, min_size=size, max_size=size), min_size=n_rows, max_size=n_rows)
+        z = np.array(data.draw(rows), dtype=np.float64).reshape(n_rows, size)
+        temperatures = np.array(data.draw(st.lists(
+            st.floats(MIN_TEMPERATURE / 4, 1e6), min_size=n_rows, max_size=n_rows
+        )))
+        massless = data.draw(st.one_of(st.none(), st.integers(0, n_rows - 1)))
+        if massless is not None:
+            z[massless] = -math.inf
+        if np.any(z.max(axis=1) == -math.inf):
+            with pytest.raises(DistributionError, match="no probability mass"):
+                core.tempered_exp(z, temperatures)
+            return
+        want = np.array([core.tempered_exp(row.copy(), float(t)) for row, t in zip(z, temperatures)])
+        assert core.tempered_exp(z, temperatures).tobytes() == want.tobytes()
+
+
 class TestTemperatureScale:
     def test_identity_at_one(self, seven_dist):
         out = temperature_scale(seven_dist, 1.0)

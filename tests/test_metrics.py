@@ -147,6 +147,12 @@ class TestRepL:
     def test_matches_brute_force(self, seq, l):
         assert rep_l(seq, l) == oracle_rep(seq, l)
 
+    @given(sequences, st.sampled_from(["zero", "one", "len", "beyond"]))
+    def test_matches_brute_force_at_window_edges(self, seq, window):
+        # 0 sees nothing, 1 only the previous token, len(seq) and more the whole prefix.
+        l = {"zero": 0, "one": 1, "len": len(seq), "beyond": len(seq) + 7}[window]
+        assert rep_l(seq, l) == oracle_rep(seq, l)
+
     @given(sequences)
     def test_monotone_in_window(self, seq):
         values = [rep_l(seq, l) for l in (1, 2, 4, 8, 16, 32, 64)]

@@ -22,7 +22,14 @@ from hypothesis import strategies as st
 
 from decodekit.core import MIN_TEMPERATURE, SEED_CHUNK, TokenDistribution, default_vocabulary
 from decodekit.harness import ReplayModel, SyntheticModel
-from decodekit.simlm import KINDS, LmProfile, next_distribution, token_probabilities
+from decodekit.simlm import (
+    BLOCK_ELEMENTS,
+    KINDS,
+    MIN_BLOCK_ROWS,
+    LmProfile,
+    next_distribution,
+    token_probabilities,
+)
 
 _MIXED_FACTORS = (0.25, 1.0, 4.0)
 
@@ -103,15 +110,34 @@ def test_token_probabilities_equal_per_step_distributions(case):
     assert np.array(got).tobytes() == np.array(want, dtype=np.float64).tobytes()
 
 
+def _block_rows(size):
+    """Positions a ``token_probabilities`` block holds at vocabulary size ``size``; 1 where it scores one at a time."""
+    rows = min(SEED_CHUNK, BLOCK_ELEMENTS // size)
+    return rows if rows >= MIN_BLOCK_ROWS else 1
+
+
+def _chunk_and_block_edges():
+    # The hypothesis cases stop at 30 tokens, inside the first chunk of seeds and the first block.
+    for length in (0, 1, SEED_CHUNK - 1, SEED_CHUNK, SEED_CHUNK + 1, 601):
+        yield pytest.param(48, length, id=f"V48-{length}")
+    # One position at a time (too wide for a block, and just so), the smallest block,
+    # rows that do not divide SEED_CHUNK, and one token. The last length ends past a
+    # block edge and past SEED_CHUNK, on neither.
+    for size in (4096, 1025, 1024, 257, 1):
+        rows = _block_rows(size)
+        for length in sorted({rows - 1, rows, rows + 1, max(rows, SEED_CHUNK) + rows + 3}):
+            yield pytest.param(size, length, id=f"V{size}-{length}")
+
+
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("length", [0, 1, SEED_CHUNK - 1, SEED_CHUNK, SEED_CHUNK + 1, 601])
-def test_token_probabilities_across_seed_chunks(kind, length):
-    # The hypothesis cases stop at 30 tokens, inside the first chunk of seeds.
+@pytest.mark.parametrize("size, length", _chunk_and_block_edges())
+def test_token_probabilities_across_seed_chunks(kind, size, length):
+    assert [_block_rows(v) for v in (4096, 1025, 1024, 257, 48, 1)] == [1, 1, MIN_BLOCK_ROWS, 15, 85, SEED_CHUNK]
     profile = LmProfile(kind=kind, base_temperature=0.7, loop_gamma=3.0, recency_window=3, seed=2**64 - 5)
-    vocab = _vocabulary(48)
-    seq = np.random.default_rng(length).integers(0, 6, length).tolist()
+    vocab = _vocabulary(size)
+    seq = np.random.default_rng(length).integers(0, min(size, 6), length).tolist()
     want = [next_distribution(profile, seq[:i], vocab).prob(t) for i, t in enumerate(seq)]
-    assert np.array(token_probabilities(profile, seq, 48)).tobytes() == np.array(want, dtype=np.float64).tobytes()
+    assert np.array(token_probabilities(profile, seq, size)).tobytes() == np.array(want, dtype=np.float64).tobytes()
 
 
 def test_token_probabilities_memory_does_not_grow_with_length():
@@ -132,6 +158,26 @@ def test_token_probabilities_memory_does_not_grow_with_length():
 
     short, long = transient(2_000), transient(40_000)
     assert long < short + 16_384, (short, long)
+
+
+@pytest.mark.parametrize("size", [256, 2**14])
+def test_token_probabilities_memory_stays_within_one_block(size):
+    """A 600-token sequence peaks at one block of scores (one row where V is too wide for a block) and a seed chunk.
+
+    An (n, V) matrix of every position's scores would take 1.2 MB at V = 256 and 78 MB at V = 2**14.
+    """
+    profile = LmProfile(kind="loop_prone", loop_gamma=2.0)
+    token_probabilities(profile, (1, 2), size)
+    seq = tuple(np.random.default_rng(3).integers(0, 64, 600).tolist())
+    tracemalloc.start()
+    try:
+        out = token_probabilities(profile, seq, size)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out) == 600
+    # The margin holds a chunk of SEED_CHUNK derived states and the contexts that wait for them.
+    assert peak - current < max(BLOCK_ELEMENTS, size) * 8 + 192 * 1024, peak - current
 
 
 @settings(max_examples=100, deadline=None)
