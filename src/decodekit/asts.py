@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from collections import Counter, deque
 from dataclasses import InitVar, dataclass, field, fields
 from functools import cached_property
@@ -37,6 +36,7 @@ from json.encoder import encode_basestring
 import numpy as np
 
 from decodekit.core import (
+    MAX_SCALE,
     MIN_TEMPERATURE,
     DistributionError,
     TokenDistribution,
@@ -58,20 +58,23 @@ class ProviderError(RuntimeError):
     """A score provider failed or produced an unusable value."""
 
 
+# These bounds keep every step finite with the built-in scores: |coherence| <= 746 (a surprisal is
+# at most 745 nats), diversity <= 1 / eps_div <= 1e300 and every other score lies in [-1, 1], so with
+# each weight <= MAX_SCALE |exponent| < 1.1e306. Mirostat's tau, eta and mu0 share MAX_SCALE
+# (harness.SCHEMA), so its budget moves by at most about 1e12 a step.
 @dataclass(frozen=True)
 class AstsConfig:
     k1: float = leaf(0.3, lo=0.0)
     k2: float = leaf(0.3, lo=0.0)
-    lambda1: float = leaf(0.4, lo=0.0)
-    lambda2: float = leaf(0.4, lo=0.0)
-    lambda3: float = leaf(0.2, lo=0.0)
-    mu1: float = leaf(0.5, lo=0.0)
-    mu2: float = leaf(0.3, lo=0.0)
-    mu3: float = leaf(0.2, lo=0.0)
+    lambda1: float = leaf(0.4, lo=0.0, hi=MAX_SCALE)
+    lambda2: float = leaf(0.4, lo=0.0, hi=MAX_SCALE)
+    lambda3: float = leaf(0.2, lo=0.0, hi=MAX_SCALE)
+    mu1: float = leaf(0.5, lo=0.0, hi=MAX_SCALE)
+    mu2: float = leaf(0.3, lo=0.0, hi=MAX_SCALE)
+    mu3: float = leaf(0.2, lo=0.0, hi=MAX_SCALE)
     temperature: float = leaf(1.0, lo=MIN_TEMPERATURE)
     window_w: int = leaf(8, lo=1)
-    # From the smallest normal float up, 1 / (freq + eps_div) is finite.
-    eps_div: float = leaf(1.0, lo=sys.float_info.min)
+    eps_div: float = leaf(1.0, lo=1e-300)
     sigma_prior: float = leaf(0.6, lo=0.0)
     adjust_form: str = leaf("example", choices=ADJUST_FORMS)
 

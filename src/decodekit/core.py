@@ -41,6 +41,8 @@ SUM_TOLERANCE = 1e-9
 # |ln q| <= 745, so at T >= this bound ln(q) / T stays finite and so does
 # every tempered weight.
 MIN_TEMPERATURE = 1e-300
+# The ceiling of every ASTS and Mirostat scale; AstsConfig says why no step can then overflow.
+MAX_SCALE = 1e6
 
 
 def leaf(default, *, lo=None, hi=None, above=None, choices=None, kind=None) -> Field:

@@ -32,7 +32,7 @@ from decodekit import golden, metrics, outputs, simlm
 from decodekit.asts import AstsConfig, ConstantScores, EmbeddingAlignment, KeywordRelevance, ProviderError
 from decodekit.baselines import greedy_restrict, nucleus_restrict, topk_restrict
 from decodekit.core import (
-    DistributionError, TokenDistribution, Vocabulary, check_leaf, default_vocabulary, leaf, utf8_error
+    MAX_SCALE, TokenDistribution, Vocabulary, check_leaf, default_vocabulary, leaf, utf8_error
 )
 from decodekit.embed import EmbeddingFormatError, load_table, synthetic_table
 from decodekit.lts import LtsConfig, lts_restrict
@@ -88,7 +88,11 @@ SCHEMA: dict = {
     "topk": {"k": leaf(10, lo=1)},
     "nucleus": {"p": leaf(0.9, above=0.0, hi=1.0)},
     # mu0 null = 2 * tau; a tau of zero or below would leave only the argmax at every step.
-    "mirostat": {"tau": leaf(3.0, above=0.0), "eta": leaf(0.1, lo=0.0), "mu0": leaf(None, kind=float)},
+    "mirostat": {
+        "tau": leaf(3.0, above=0.0, hi=MAX_SCALE),
+        "eta": leaf(0.1, lo=0.0, hi=MAX_SCALE),
+        "mu0": leaf(None, lo=-MAX_SCALE, hi=MAX_SCALE, kind=float),
+    },
     "lts": _section(LtsConfig),
     "asts": {
         **_section(AstsConfig),
@@ -108,12 +112,6 @@ SCHEMA: dict = {
 }
 
 _TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string", list: "a list of strings"}
-
-_ASTS_FIELDS = tuple(f.name for f in fields(AstsConfig))
-
-# What a sampler raises when its running values overflow: the ASTS exponent
-# or the Mirostat budget.
-_OVERFLOW_ERRORS = {"asts": DistributionError, "mirostat": ValueError}
 
 
 def set_by_path(cfg: dict, path: str, value) -> None:
@@ -266,29 +264,6 @@ def _build_profile(cfg: dict) -> LmProfile:
     return LmProfile(kind=kind, **syn)
 
 
-def _asts_config(cfg: dict) -> AstsConfig:
-    return AstsConfig(**{name: cfg["asts"][name] for name in _ASTS_FIELDS})
-
-
-def _overflowing_field(cfg: dict) -> str:
-    """The scale field that overflowed a step, taken as the one of largest scale times its score's bound.
-
-    ASTS scores are bounded when the providers are built-in: |coherence| <=
-    746 (a surprisal is at most 745 nats), diversity <= 1 / eps_div and every
-    other score lies in [-1, 1]. The "eq13" form's exponent has no lambda term.
-    """
-    if cfg["sampler"] == "mirostat":
-        m = cfg["mirostat"]
-        sizes = {f"mirostat.{k}": abs(m[k]) for k in ("tau", "eta", "mu0") if m[k] is not None}
-    else:
-        a = cfg["asts"]
-        bounds = {"mu1": 1.0, "mu2": 1.0, "mu3": 1.0}
-        if a["adjust_form"] == "example":
-            bounds.update(lambda1=746.0, lambda2=1.0, lambda3=1.0 / a["eps_div"])
-        sizes = {f"asts.{k}": a[k] * bound for k, bound in bounds.items()}
-    return max(sizes, key=sizes.get)
-
-
 class SyntheticModel:
     """A synthetic profile; the ``base_temperature`` floor keeps every step finite, so nothing is checked."""
 
@@ -417,7 +392,8 @@ def build_sampler(cfg: dict, vocab: Vocabulary, audit: bool = False):
     if name == "lts":
         return partial(TruncationSampler, partial(lts_restrict, cfg=LtsConfig(**cfg["lts"])))
     if name == "asts":
-        shared = (_asts_config(cfg), _build_alignment(cfg, vocab), _build_relevance(cfg, vocab))
+        asts = AstsConfig(**{f.name: cfg["asts"][f.name] for f in fields(AstsConfig)})
+        shared = (asts, _build_alignment(cfg, vocab), _build_relevance(cfg, vocab))
         return partial(AstsSampler, *shared) if audit else partial(AstsSampler, *shared, None)
     raise ConfigError(f"sampler: unknown sampler {name!r}")
 
@@ -473,24 +449,18 @@ def run_sequence(cfg: dict, index: int, inputs: RunInputs | None = None, write_a
     model = inputs.model
     vocab = model.vocab
     audit: list[str] = []
-    try:
-        # A scale field large enough to overflow a step makes numpy warn
-        # before the step raises; the ConfigError below is the one report.
-        with np.errstate(over="ignore", invalid="ignore"):
-            sampler = inputs.new_sampler()
-            breakdowns = getattr(sampler, "breakdowns", None)  # only an audited ASTS adapter keeps them
-            emit = write_audit or audit.append
-            on_step = None if breakdowns is None else lambda t, tok: emit(breakdowns.pop().to_json_line(index, t, tok))
-            tokens, trace = simlm.drive(
-                model.next,
-                sampler,
-                seed=cfg["seed"] + index,
-                max_tokens=cfg["max_tokens"],
-                prompt=inputs.prompts[index % len(inputs.prompts)],
-                on_step=on_step,
-            )
-    except _OVERFLOW_ERRORS.get(cfg["sampler"], ()) as exc:
-        raise ConfigError(f"{_overflowing_field(cfg)}: {exc}") from None
+    sampler = inputs.new_sampler()
+    breakdowns = getattr(sampler, "breakdowns", None)  # only an audited ASTS adapter keeps them
+    emit = write_audit or audit.append
+    on_step = None if breakdowns is None else lambda t, tok: emit(breakdowns.pop().to_json_line(index, t, tok))
+    tokens, trace = simlm.drive(
+        model.next,
+        sampler,
+        seed=cfg["seed"] + index,
+        max_tokens=cfg["max_tokens"],
+        prompt=inputs.prompts[index % len(inputs.prompts)],
+        on_step=on_step,
+    )
     return {
         "id": index,
         "token_ids": tokens,

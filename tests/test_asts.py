@@ -1,7 +1,6 @@
 """ASTS scoring ops, providers, and the five-stage pipeline step."""
 
 import math
-import sys
 import weakref
 from collections import Counter
 
@@ -24,7 +23,16 @@ from decodekit.asts import (
     dynamic_thresholds,
     sigma_entropy,
 )
-from decodekit.core import Rng, TokenDistribution, Vocabulary, default_vocabulary, sample, surprisal
+from decodekit.core import (
+    MAX_SCALE,
+    DistributionError,
+    Rng,
+    TokenDistribution,
+    Vocabulary,
+    default_vocabulary,
+    sample,
+    surprisal,
+)
 from decodekit.embed import EmbeddingTable, context_embedding, cosine, load_table, synthetic_table
 from oracles import (
     adjust_weight,
@@ -55,6 +63,7 @@ EXPECTED_FINAL_INJECTED = (0.281082, 0.260175, 0.237379, 0.221364)
 EXPECTED_FINAL_FORMULA = (0.279134, 0.261992, 0.234932, 0.223942)
 
 FIXTURE_CFG = AstsConfig()  # defaults are the fixture parameters
+SCALE_FIELDS = ("lambda1", "lambda2", "lambda3", "mu1", "mu2", "mu3")
 
 
 def make_dist(weights):
@@ -166,7 +175,9 @@ class TestConfig:
             ("window_w", 0),
             ("eps_div", 0.0),
             ("eps_div", 1e-310),
+            ("eps_div", math.nextafter(1e-300, 0.0)),
             ("sigma_prior", -0.5),
+            *((name, math.nextafter(MAX_SCALE, math.inf)) for name in SCALE_FIELDS),
         ],
     )
     def test_invalid_fields_name_the_key(self, field, value):
@@ -174,7 +185,10 @@ class TestConfig:
             AstsConfig(**{field: value})
 
     def test_smallest_temperature_and_eps_div_accepted(self):
-        AstsConfig(temperature=1e-300, eps_div=sys.float_info.min)
+        AstsConfig(temperature=1e-300, eps_div=1e-300)
+
+    def test_largest_scales_accepted(self):
+        AstsConfig(**{name: MAX_SCALE for name in SCALE_FIELDS})
 
     def test_adjust_form_whitelist(self):
         with pytest.raises(ValueError, match="adjust_form"):
@@ -404,6 +418,13 @@ class TestPipelineBehaviour:
         # Only a finite float constant skips the checks; every other value keeps their message.
         with pytest.raises(ProviderError, match="alignment provider (failed|returned a non-finite score)"):
             asts_step(seven_dist, GenerationContext(), FIXTURE_CFG, ConstantScores(value), ConstantScores())
+
+    def test_overflowing_exponent_raises(self, seven_dist):
+        # A custom provider's score is not bounded like the built-in ones: a
+        # finite alignment of 1e308 times lambda2 overflows the exponent.
+        alignment = MappedScores(seven_dist.vocab, {}, default=1e308)
+        with np.errstate(over="ignore"), pytest.raises(DistributionError, match="weights must be finite"):
+            asts_step(seven_dist, GenerationContext(), AstsConfig(lambda2=4.0), alignment, ConstantScores())
 
     def test_provider_exception_wrapped(self, seven_dist):
         def bad(ctx, ids):

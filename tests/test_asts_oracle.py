@@ -21,7 +21,7 @@ _vocabulary = functools.cache(default_vocabulary)
 
 TEMPERATURES = (1e-300, 1e-3, 0.1, 1.0, 50.0)
 EPS_DIVS = (1e-300, 1e-6, 1e-3, 0.5, 1.0, 100.0)
-SCALES = (0.0, 0.3, 1.0, 4.0, 1e3, 1e300)
+SCALES = (0.0, 0.3, 1.0, 4.0, 1e3, core.MAX_SCALE)
 
 
 def _outcome(fn, *args):

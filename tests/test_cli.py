@@ -405,8 +405,9 @@ def test_subnormal_asts_field_is_a_config_error(tmp_path, field):
 
 
 # (sampler, section overrides, field the error names): valid-typed extremes
-# whose steps overflow, ints beyond the signed 64 bits numpy and deque take,
-# or sizes past the bounds that keep a synthetic embedding table within 1 GiB.
+# past their bounds: scales past the ceiling that keeps every step finite,
+# ints beyond the signed 64 bits numpy and deque take, or sizes past the
+# bounds that keep a synthetic embedding table within 1 GiB.
 CONFIG_EXTREMES = [
     ("asts", {"asts": {"lambda3": 1e308, "eps_div": 0.5}}, "asts.lambda3"),
     ("mirostat", {"mirostat": {"eta": 1e308}}, "mirostat.eta"),

@@ -3,7 +3,8 @@
 The fuzz suite swaps one leaf of a small valid config for a value of another
 kind and runs the CLI; whatever the value, the command must end in one of
 the documented exit codes and never in a traceback. The extremes sweep sets
-each numeric leaf of ``SCHEMA`` to valid-typed extremes and its bounds.
+each numeric leaf of ``SCHEMA`` to valid-typed extremes and its bounds, and
+the corner tests set every ASTS or Mirostat scale to its bound at once.
 """
 
 import json
@@ -19,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from decodekit.cli import main
+from decodekit.core import MAX_SCALE
 from decodekit.harness import DEFAULTS, SCHEMA, load_config
 from decodekit.samplers import SAMPLER_NAMES
 
@@ -79,6 +81,11 @@ BAD_CONFIGS = [
     ("mirostat.tau", 0.0),  # a budget target of zero or below would make Mirostat greedy
     ("mirostat.tau", -1.0),
     ("model.synthetic.seed", 2**64),  # one past its declared hi
+    # one step past the scale bounds that keep the Mirostat budget finite
+    ("mirostat.tau", math.nextafter(MAX_SCALE, math.inf)),
+    ("mirostat.eta", math.nextafter(MAX_SCALE, math.inf)),
+    ("mirostat.mu0", math.nextafter(MAX_SCALE, math.inf)),
+    ("mirostat.mu0", math.nextafter(-MAX_SCALE, -math.inf)),
 ]
 
 
@@ -196,6 +203,17 @@ def accepts(spec, value) -> bool:
     )
 
 
+def well_typed(spec, value) -> bool:
+    """Whether the loader takes ``value``'s type for ``spec``.
+
+    A float leaf takes any finite number; an int leaf takes an int, within
+    signed 64 bits where the leaf declares no ``hi``.
+    """
+    if spec.metadata["kind"] is float:
+        return math.isfinite(value)
+    return type(value) is int and ("hi" in spec.metadata or -(2**63) <= value < 2**63)
+
+
 def audit_probabilities_sum_to_one(audit: Path) -> bool:
     """Whether every line of the audit file has finite final probabilities summing to 1 within 1e-9."""
     for line in audit.read_text(encoding="utf-8").splitlines():
@@ -207,12 +225,15 @@ def audit_probabilities_sum_to_one(audit: Path) -> bool:
 
 @pytest.mark.parametrize("sampler", SAMPLER_NAMES)
 def test_numeric_leaf_extremes_run_or_exit_two(tmp_path, monkeypatch, sampler):
-    """Every numeric leaf at valid-typed extremes: exit 0 with finite entropies, or exit 2; never a warning or traceback.
+    """Every numeric leaf at extremes: exit 0 with finite entropies within its bounds, else 2; never a warning.
 
-    An ASTS run also writes its audit, and on exit 0 each step's final
-    probabilities must be finite and sum to 1. An adjusted weight may read
-    Infinity: the audit records the overflow it was clipped from. Work-sizing
-    leaves take only values their bounds reject, so nothing large runs.
+    A well-typed value within the leaf's declared bounds must run; only
+    ``zipf.*``'s cross-field check may stop one. Any other value must exit 2.
+    No value may end in a traceback. An ASTS run also writes its audit, and
+    on exit 0 each step's final probabilities must be finite and sum to 1.
+    An adjusted weight may read Infinity: the audit records the overflow it
+    was clipped from. Work-sizing leaves take only values their bounds
+    reject, so nothing large runs.
     """
     monkeypatch.delenv("DECODE_SEED", raising=False)
     out = tmp_path / "out.jsonl"
@@ -223,6 +244,8 @@ def test_numeric_leaf_extremes_run_or_exit_two(tmp_path, monkeypatch, sampler):
         for value in extreme_values(spec):
             if path in WORK_SIZING and accepts(spec, value):
                 continue
+            inside = well_typed(spec, value) and accepts(spec, value)
+            expected = ({0, 2} if path.startswith("zipf.") else {0}) if inside else {2}
             cfg = small_config(tmp_path, sampler)
             set_leaf(cfg, path, value)
             out.unlink(missing_ok=True)
@@ -235,15 +258,69 @@ def test_numeric_leaf_extremes_run_or_exit_two(tmp_path, monkeypatch, sampler):
                     continue
             if caught:
                 failures.append((path, value, str(caught[0].message)))
+            elif code not in expected:
+                failures.append((path, value, f"exit {code}"))
             elif code == 0:
                 traces = [json.loads(line)["entropy_trace"] for line in out.read_text(encoding="utf-8").splitlines()]
                 if not all(math.isfinite(h) for trace in traces for h in trace):
                     failures.append((path, value, "non-finite entropy"))
                 if audit_args and not audit_probabilities_sum_to_one(audit):
                     failures.append((path, value, "audited final_probability non-finite or not summing to 1"))
-            elif code != 2:
-                failures.append((path, value, f"exit {code}"))
     assert not failures
+
+
+def bound(path: str, key: str) -> float:
+    """The ``key`` bound ("lo" or "hi") that ``SCHEMA`` declares for the leaf at dotted ``path``."""
+    node = SCHEMA
+    for part in path.split("."):
+        node = node[part]
+    return node.metadata[key]
+
+
+ASTS_SCALES = ("lambda1", "lambda2", "lambda3", "mu1", "mu2", "mu3")
+
+
+def run_corner(tmp_path, cfg: dict, *extra: str) -> list[list[float]]:
+    """Run ``cfg``; assert exit 0, no warning and finite entropies, and return each sequence's entropy trace."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_generate(tmp_path, cfg, *extra) == 0
+    assert not caught
+    lines = (tmp_path / "out.jsonl").read_text(encoding="utf-8").splitlines()
+    traces = [json.loads(line)["entropy_trace"] for line in lines]
+    assert all(math.isfinite(h) for trace in traces for h in trace)
+    return traces
+
+
+@pytest.mark.parametrize("alignment", ["embedding", "zero"])
+@pytest.mark.parametrize("adjust_form", ["example", "eq13"])
+def test_asts_scales_all_at_their_bounds_run(tmp_path, monkeypatch, adjust_form, alignment):
+    """Every ASTS weight at its ceiling at once, eps_div and temperature at their floors, unbounded widths at 1e308."""
+    monkeypatch.delenv("DECODE_SEED", raising=False)
+    cfg = small_config(tmp_path, "asts")
+    cfg["max_tokens"] = 40
+    cfg["asts"].update({name: bound(f"asts.{name}", "hi") for name in ASTS_SCALES})
+    cfg["asts"].update({name: bound(f"asts.{name}", "lo") for name in ("eps_div", "temperature")})
+    cfg["asts"].update(k1=1e308, k2=1e308, sigma_prior=1e308, adjust_form=adjust_form, alignment=alignment)
+    audit = tmp_path / "audit.jsonl"
+    assert [len(trace) for trace in run_corner(tmp_path, cfg, "--audit", str(audit))] == [40, 40]
+    assert len(audit.read_text(encoding="utf-8").splitlines()) == 2 * 40
+    assert audit_probabilities_sum_to_one(audit)
+
+
+@pytest.mark.parametrize("mu0", ["hi", "lo", None])
+@pytest.mark.parametrize("tau", ["hi", 1e-300])
+def test_mirostat_scales_at_their_bounds_run(tmp_path, monkeypatch, tau, mu0):
+    """tau and eta at their ceiling (tau also at 1e-300), mu0 at either bound or null, over 400 steps."""
+    monkeypatch.delenv("DECODE_SEED", raising=False)
+    cfg = small_config(tmp_path, "mirostat")
+    cfg["max_tokens"] = 400
+    cfg["mirostat"] = {
+        "tau": bound("mirostat.tau", "hi") if tau == "hi" else tau,
+        "eta": bound("mirostat.eta", "hi"),
+        "mu0": None if mu0 is None else bound("mirostat.mu0", mu0),
+    }
+    assert [len(trace) for trace in run_corner(tmp_path, cfg)] == [400, 400]
 
 
 def test_readme_configuration_block_is_the_defaults(tmp_path, monkeypatch):
